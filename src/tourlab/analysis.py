@@ -9,7 +9,7 @@ cannot settle come back as 'inconclusive' rather than a guess.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .core import FiniteOrientedGraph, PresentedGraph
 from .errors import BudgetExhaustedError, CycleFoundError
@@ -64,33 +64,51 @@ class RankFunction:
 
 def is_acyclic(G: FiniteOrientedGraph) -> tuple[bool, Optional[list[int]]]:
     """Kahn peeling; on failure returns a directed cycle as a vertex list."""
-    indeg = {v: len(G.in_neighbors(v)) for v in G.vertices}
-    queue = sorted(v for v in G.vertices if indeg[v] == 0)
-    seen = 0
+    cycle = _find_cycle({v: G.out_neighbors(v) for v in G.vertices})
+    return cycle is None, cycle
+
+
+def _find_cycle(adj: Mapping[int, Sequence[int]]) -> Optional[list[int]]:
+    """Directed cycle in the finite graph induced on adj's key set, or None.
+
+    adj maps each vertex to its out-neighbors; edges leaving the key set
+    are ignored.  Kahn peeling removes every vertex that no cycle reaches.
+    The walk then starts at the least remaining vertex and steps to its
+    least remaining in-neighbor until a vertex repeats, so the witness
+    depends on the induced graph alone, not on the order of adj.
+    """
+    indeg = dict.fromkeys(adj, 0)
+    for outs in adj.values():
+        for w in outs:
+            if w in indeg:
+                indeg[w] += 1
+    queue = [v for v, d in indeg.items() if d == 0]
     i = 0
-    queue = list(queue)
     while i < len(queue):
         v = queue[i]
         i += 1
-        seen += 1
-        for w in G.out_neighbors(v):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if seen == G.n:
-        return True, None
-    # remaining vertices all lie on or feed cycles; walk in-neighbors with
-    # positive residual degree until a vertex repeats
-    remaining = {v for v in G.vertices if indeg[v] > 0}
+        for w in adj[v]:
+            if w in indeg:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    queue.append(w)
+    if len(queue) == len(indeg):
+        return None
+    remaining = {v for v, d in indeg.items() if d > 0}
+    rev: dict[int, list[int]] = {u: [] for u in remaining}
+    for u in remaining:
+        for w in adj[u]:
+            if w in remaining:
+                rev[w].append(u)
     v = min(remaining)
     trail, pos = [], {}
     while v not in pos:
         pos[v] = len(trail)
         trail.append(v)
-        v = min(w for w in G.in_neighbors(v) if w in remaining)
+        v = min(rev[v])
     cycle = trail[pos[v] :]
     cycle.reverse()  # trail followed in-edges, so reverse to edge order
-    return False, cycle
+    return cycle
 
 
 def transitive_closure(G: FiniteOrientedGraph) -> FiniteOrientedGraph:
@@ -174,43 +192,71 @@ def rank(G: FiniteOrientedGraph) -> RankFunction:
     return RankFunction(heights)
 
 
-def _induced_cycle(adj: dict[int, tuple[int, ...]]) -> Optional[list[int]]:
-    """Directed cycle in the finite graph induced on adj's key set, or None."""
-    keys = adj.keys()
-    indeg = {v: 0 for v in keys}
-    for v, outs in adj.items():
-        for w in outs:
-            if w in indeg:
-                indeg[w] += 1
-    queue = [v for v in keys if indeg[v] == 0]
-    i = 0
-    seen = 0
-    while i < len(queue):
-        v = queue[i]
-        i += 1
-        seen += 1
-        for w in adj[v]:
-            if w in indeg:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-    if seen == len(indeg):
-        return None
-    remaining = {v for v in keys if indeg[v] > 0}
-    v = min(remaining)
-    trail, pos = [], {}
-    rev: dict[int, list[int]] = {u: [] for u in remaining}
-    for u in remaining:
-        for w in adj[u]:
-            if w in remaining:
-                rev[w].append(u)
-    while v not in pos:
-        pos[v] = len(trail)
-        trail.append(v)
-        v = min(rev[v])
-    cycle = trail[pos[v] :]
-    cycle.reverse()
-    return cycle
+class _ClosureWalk:
+    """Closures in one direction, explored once and shared by all roots.
+
+    Roots are visited in order, and the caller stops at the first root
+    whose closure exceeds the budget, so every finished vertex lies in a
+    closure that fit the budget.  Each visit runs Tarjan's DFS over the
+    vertices no earlier visit reached.  A finished strongly connected
+    component C gets the bound |C| + the sum of the bounds at the far ends
+    of the edges leaving C, saturated at budget + 1.  It bounds |Γ(x)| from
+    above for every x in C, and is exact when the components reached from
+    C form a tree, as in forests and paths.
+    """
+
+    def __init__(self, step: Callable[[int], Sequence[int]], budget: int):
+        self.step = step
+        self.budget = budget
+        self.bound: dict[int, int] = {}  # finished vertices
+        self.fresh: dict[int, int] = {}  # DFS index of the last root's new vertices
+
+    def fits(self, v: int) -> bool:
+        """True when |Γ(v)| <= budget is certain; False when |Γ(v)| may
+        exceed the budget, which only an exact count settles."""
+        if v in self.bound:
+            return True  # Γ(v) lies inside an earlier root's closure
+        step, bound, cap = self.step, self.bound, self.budget + 1
+        index = self.fresh = {v: 0}
+        low, ext = {v: 0}, {v: 0}  # ext[x]: bounds beyond x's component
+        stack = [v]
+        work = [(v, iter(step(v)))]
+        while work:
+            x, it = work[-1]
+            for w in it:
+                if w in bound:
+                    ext[x] += bound[w]
+                elif w in index:
+                    low[x] = min(low[x], index[w])  # w is in x's component
+                elif len(index) == self.budget:
+                    return False  # more than budget vertices reached from v
+                else:
+                    index[w] = low[w] = len(index)
+                    ext[w] = 0
+                    stack.append(w)
+                    work.append((w, iter(step(w))))
+                    break
+            else:
+                work.pop()
+                if low[x] == index[x]:
+                    comp = [stack.pop()]
+                    while comp[-1] != x:
+                        comp.append(stack.pop())
+                    b = min(cap, len(comp) + sum(ext[y] for y in comp))
+                    for y in comp:
+                        bound[y] = b
+                if work:
+                    p = work[-1][0]
+                    if x in bound:
+                        ext[p] += bound[x]
+                    else:
+                        low[p] = min(low[p], low[x])
+        return bound[v] <= self.budget
+
+    def forget_last(self) -> None:
+        """Drop the vertices that the last root reached first."""
+        for x in self.fresh:
+            self.bound.pop(x, None)
 
 
 def classify_unavoidability(
@@ -225,6 +271,13 @@ def classify_unavoidability(
     avoidability witness is either a directed cycle found during
     exploration or a generator-carried infinite-path certificate; budget
     exhaustion alone yields 'inconclusive', never 'avoidable'.
+
+    The closures are explored once per direction and shared across
+    vertices, so the time is linear in the explored vertices and edges;
+    an exact `gamma` count runs only for a vertex whose closure bound
+    exceeds the budget.  `budget` still caps each closure's expansions,
+    and the verdict, witness and reason are those of one `gamma` call per
+    vertex and direction.
     """
     if G.is_finite:
         ok, cycle = is_acyclic(G)
@@ -237,29 +290,34 @@ def classify_unavoidability(
             "avoidable", witness=("infinite-path-certificate", G.name)
         )
 
-    explored: set[int] = set()
+    walks = {
+        "+": _ClosureWalk(G.out_neighbors, budget),
+        "-": _ClosureWalk(G.in_neighbors, budget),
+    }
+    partial: frozenset[int] = frozenset()
     failure: Optional[str] = None
     for v in range(budget):
-        stop = False
-        for direction in ("+", "-"):
+        for direction, walk in walks.items():
+            if walk.fits(v):
+                continue
             try:
-                res = gamma(G, v, direction, budget=budget)
-                explored.update(res.members)
+                gamma(G, v, direction, budget=budget)
             except BudgetExhaustedError as e:
-                explored.update(e.partial)
+                partial = e.partial
+                walk.forget_last()
                 failure = (
                     f"gamma{direction}({v}) still open after {budget} expansions; "
                     "possible infinite directed path"
                 )
-                stop = True
                 break
-        if stop:
+        if failure is not None:
             # certification already failed; remaining work could only
             # find a cycle, and the explored region is checked below
             break
 
-    adj = {v: tuple(w for w in G.out_neighbors(v)) for v in explored}
-    cycle = _induced_cycle(adj)
+    explored = set(partial).union(*(walk.bound for walk in walks.values()))
+    adj = {v: G.out_neighbors(v) for v in explored}
+    cycle = _find_cycle(adj)
     if cycle is not None:
         return Classification("avoidable", witness=("cycle", cycle))
     if failure is not None:

@@ -649,7 +649,8 @@ class _DiagonalLayout:
 
     def _extend(self):
         d = self._next_diag
-        for k in range(d + 1):
+        # t = d - k < size(k) <= 4, so only the last four components qualify
+        for k in range(max(0, d - 3), d + 1):
             t = d - k
             if t < self.size(k):
                 self._id_of[(k, t)] = len(self._pair_of)

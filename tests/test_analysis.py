@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tourlab.analysis import (
+    DEFAULT_BUDGET,
     Classification,
     classify_unavoidability,
     gamma,
@@ -254,3 +255,164 @@ def test_classify_presented_cycle_found():
 def test_finite_acyclic_always_unavoidable(seed):
     G = random_dag(seed, n=20)
     assert classify_unavoidability(G, budget=10).verdict == "unavoidable"
+
+
+# ------------------------------------------ classifier against a slow reference
+
+
+def _reference_cycle(adj):
+    """Cycle witness by the classifier's rule, found without Kahn peeling:
+    drop vertices with no in-neighbor left until none can go, then walk
+    from the least survivor to its least surviving in-neighbor."""
+    alive = set(adj)
+    while True:
+        fed = {w for v in alive for w in adj[v] if w in alive}
+        if fed == alive:
+            break
+        alive = fed
+    if not alive:
+        return None
+    v, trail = min(alive), []
+    while v not in trail:
+        trail.append(v)
+        v = min(u for u in alive if v in adj[u])
+    cycle = trail[trail.index(v) :]
+    cycle.reverse()
+    return cycle
+
+
+def _classify_reference(G, budget):
+    """The classifier as one gamma call per vertex and direction."""
+    explored, failure = set(), None
+    for v in range(budget):
+        for direction in ("+", "-"):
+            try:
+                explored |= gamma(G, v, direction, budget=budget).members
+            except BudgetExhaustedError as e:
+                explored |= e.partial
+                failure = (
+                    f"gamma{direction}({v}) still open after {budget} expansions; "
+                    "possible infinite directed path"
+                )
+                break
+        if failure is not None:
+            break
+    cycle = _reference_cycle({v: G.out_neighbors(v) for v in explored})
+    if cycle is not None:
+        return Classification("avoidable", witness=("cycle", cycle))
+    if failure is not None:
+        return Classification("inconclusive", reason=failure)
+    return Classification("unavoidable")
+
+
+def _presented(n, edges, ray=None):
+    """Graph on the naturals: an oriented edge set on 0..n-1 and, from
+    vertex `ray`, an uncertified directed ray ray -> n -> n + 1 -> ...;
+    every other vertex is isolated."""
+    arcs = set()
+    for u, w in edges:
+        if u != w and (w, u) not in arcs:
+            arcs.add((u, w))
+    if ray is not None:
+        arcs.add((ray, n))
+    outs, ins = {}, {}
+    for u, w in arcs:
+        outs.setdefault(u, []).append(w)
+        ins.setdefault(w, []).append(u)
+
+    def adj(v):
+        o, i = outs.get(v, []), ins.get(v, [])
+        if ray is not None and v >= n:
+            o = o + [v + 1]
+            i = i + ([v - 1] if v > n else [])
+        return tuple(sorted(i)), tuple(sorted(o))
+
+    return PresentedGraph(adj, name="test-graph")
+
+
+@st.composite
+def presented_graphs(draw):
+    n = draw(st.integers(1, 30))
+    edges = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+    )
+    if draw(st.booleans()):  # orient every edge upward: acyclic, with shared closures
+        edges = [(min(e), max(e)) for e in edges]
+    ray = draw(st.none() | st.integers(0, n - 1))
+    return n, edges, ray
+
+
+@given(presented_graphs(), st.integers(1, 25))
+@example((4, [(0, 1), (1, 2), (2, 3), (3, 1)], 0), 5)  # a cycle the failing gamma misses
+@settings(max_examples=400, deadline=None)
+def test_classifier_matches_per_vertex_reference(graph, budget):
+    got = classify_unavoidability(_presented(*graph), budget=budget)
+    assert got == _classify_reference(_presented(*graph), budget)
+
+
+def _two_paths(L):
+    """0 -> path A, 1 -> path B and 2 -> both heads, so |Γ+(2)| = 2L + 1
+    is reached through paths that the roots 0 and 1 finished."""
+    A, B = range(3, 3 + L), range(3 + L, 3 + 2 * L)
+    edges = [(0, A[0]), (1, B[0]), (2, A[0]), (2, B[0])]
+    return 3 + 2 * L, edges + list(zip(A, A[1:])) + list(zip(B, B[1:]))
+
+
+@pytest.mark.parametrize(
+    "graph, members",
+    [((12, [(v, v + 1) for v in range(11)]), 12), (_two_paths(6), 13)],
+)
+@pytest.mark.parametrize("slack", [0, -1])
+def test_classifier_budget_boundary(graph, members, slack):
+    # the largest closure has `members` members: it fits a budget of
+    # exactly that size and fails one below it
+    budget = members + slack
+    got = classify_unavoidability(_presented(*graph), budget=budget)
+    assert got == _classify_reference(_presented(*graph), budget)
+    assert got.verdict == ("unavoidable" if slack == 0 else "inconclusive")
+
+
+class _CountingGraph(PresentedGraph):
+    """Counts in_neighbors and out_neighbors calls."""
+
+    def __init__(self, adjacency):
+        super().__init__(adjacency, name="counting")
+        self.calls = 0
+
+    def in_neighbors(self, v):
+        self.calls += 1
+        return super().in_neighbors(v)
+
+    def out_neighbors(self, v):
+        self.calls += 1
+        return super().out_neighbors(v)
+
+
+def test_classifier_work_is_linear_on_long_paths():
+    # disjoint directed paths of 1000 vertices: one gamma call per vertex
+    # would make about budget * 1000 neighbor queries
+    L = 1000
+
+    def adj(v):
+        return ((v - 1,) if v % L else ()), ((v + 1,) if (v + 1) % L else ())
+
+    G = _CountingGraph(adj)
+    assert classify_unavoidability(G, budget=DEFAULT_BUDGET).verdict == "unavoidable"
+    assert G.calls <= 5 * DEFAULT_BUDGET
+
+
+def test_classifier_work_is_linear_into_a_cycle():
+    # a directed cycle on 0..L-1 that every later vertex points into: the
+    # cycle's bound is shared instead of recounted from each later vertex
+    L = 1000
+
+    def adj(v):
+        if v < L:
+            ins = ((v - 1) % L,) + tuple(range(L + v, DEFAULT_BUDGET, L))
+            return ins, ((v + 1) % L,)
+        return (), (v % L,)
+
+    G = _CountingGraph(adj)
+    c = classify_unavoidability(G, budget=DEFAULT_BUDGET)
+    assert c == Classification("avoidable", witness=("cycle", [*range(1, L), 0]))
+    assert G.calls <= 5 * DEFAULT_BUDGET

@@ -16,6 +16,7 @@ from tourlab.core import (
     TabulatedTournament,
     TransitiveOmega,
     TransitiveOmegaStar,
+    _DiagonalLayout,
     anti_path,
     binomial2,
     exact_density,
@@ -318,6 +319,36 @@ def test_presented_families_are_mutually_consistent():
         random_presented(77),
     ):
         _check_mutual_consistency(G, 300)
+
+
+def test_interleaved_forest_ids_follow_the_diagonals():
+    # brute force: deal (k, t) along diagonals d = k + t, k ascending,
+    # keeping the pairs with t < size(k) = 1 + k % 4
+    n, diag = 3000, 0
+    pairs: list[tuple[int, int]] = []
+    while len(pairs) < n + 50:
+        pairs += [(k, diag - k) for k in range(diag + 1) if diag - k < 1 + k % 4]
+        diag += 1
+    ident = {kt: v for v, kt in enumerate(pairs)}
+
+    layout = _DiagonalLayout()
+    assert [layout.pair(v) for v in range(n)] == pairs[:n]
+    G = interleaved_forest()
+    for v in range(n):
+        k, t = pairs[v]
+        near = {ident[(k, s)] for s in (t - 1, t + 1) if 0 <= s < 1 + k % 4}
+        assert set(G.in_neighbors(v) + G.out_neighbors(v)) == near, v
+
+    # each component's local indices so far are 0, 1, ..., and complete
+    # once the diagonal past its last vertex has been dealt
+    local: dict[int, list[int]] = {}
+    for k, t in pairs[:n]:
+        local.setdefault(k, []).append(t)
+    last_diag = pairs[n - 1][0] + pairs[n - 1][1]
+    for k, ts in local.items():
+        assert ts == list(range(len(ts)))
+        if k + _DiagonalLayout.size(k) <= last_diag:
+            assert len(ts) == _DiagonalLayout.size(k)
 
 
 def test_forward_path_certificate():
