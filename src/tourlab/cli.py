@@ -118,9 +118,10 @@ def _parse_scheme_arg(text: str):
 
 
 def _resolve_injection(arg: str):
+    # a catalogue scheme stays a scheme, so its counts come from its runs
     if os.path.exists(arg):
         return read_injection_file(arg)
-    return _parse_scheme_arg(arg).injection
+    return _parse_scheme_arg(arg)
 
 
 def _print_csv(profile) -> None:

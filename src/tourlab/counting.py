@@ -85,8 +85,11 @@ def inversion_prefix(f: InjectionSpec, n: int) -> np.ndarray:
     """Cumulative inversion counts of f: entry m-2 is the number of pairs
     i < j < m with f(i) > f(j), for m = 2..n.
 
-    The per-position counts are summed as int64; n up to a few million
-    stays far below the overflow line.
+    The counts are summed as int64.  A prefix of n holds at most
+    C(n, 2) inversions, which stays below 2^63 for every n under about
+    4.29 * 10^9, so the n values themselves exhaust memory long before a
+    sum could overflow.  Catalogue schemes need no such bound: their
+    counts come from run layouts as Python integers.
     """
     if n < 2:
         return np.zeros(0, dtype=np.int64)

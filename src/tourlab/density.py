@@ -5,37 +5,40 @@ injection has its forward pairs exactly at the injection's inversions, so
 prefix densities of injection tournaments reduce to inversion counting.
 Rank decomposition runs the reduction the other way: it extracts an
 injection from an arbitrary finite prefix whose induced tournament
-dominates the prefix pairwise.  Block schemes are parametric injections
-built from precommitted disjoint value intervals; the optimizer searches
-that catalogue for a high minimum prefix density over a window.
+dominates the prefix pairwise.
 
-Densities are exact rationals end to end.  Only window minima are ever
-reported; no limiting claim is attached to them.
+Block schemes are parametric injections built from precommitted disjoint
+value intervals, and each is laid out as a sequence of runs: stretches
+of indices whose values form one arithmetic progression inside a single
+gap of every earlier value.  Inside a run the inversion count is a
+quadratic in the prefix length, so scalar values, prefix ranks, counts
+and exact window minima all come from the layout in closed form, with no
+counting kernel; a window up to 10^12 takes milliseconds.  The optimizer
+searches that catalogue for a high minimum prefix density over a window.
+
+Densities are exact rationals and counts Python integers end to end.
+Only window minima are ever reported; no limiting claim is attached to
+them.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
 from .core import (
-    FactorialBlock,
     InjectionSpec,
     OrdinalInjectionTournament,
     OrdinalValue,
     TournamentOracle,
-    identity_injection,
 )
-from .counting import (
-    inversion_prefix,
-    inversions_upto,
-    prior_greater_counts,
-)
+from .counting import inversion_prefix, inversions_upto
 from .errors import SchemeError
 
 __all__ = [
@@ -148,17 +151,23 @@ def inversion_count(f: InjectionSpec, n: int) -> int:
 
 
 def inversion_density_profile(
-    f: InjectionSpec, n_max: int, stride: int = 1
+    f: Union[InjectionSpec, BlockScheme], n_max: int, stride: int = 1
 ) -> DensityProfile:
     """Inversion densities of f at stride multiples up to n_max.
 
     Equals the density profile of the tournament induced by f, entry by
-    entry, as exact rationals.
+    entry, as exact rationals.  A catalogue scheme reads its counts off
+    its run layout; any other injection is ranked and counted.
     """
     pts = _sample_points(n_max, stride)
-    cum = inversion_prefix(f, n_max)
+    if isinstance(f, BlockScheme):
+        counts = [f.inversions(m) for m in pts]
+        f = f.injection
+    else:
+        cum = inversion_prefix(f, n_max)
+        counts = [int(cum[m - 2]) for m in pts]
     name = f"injection:{f.description or 'anonymous'}"
-    return DensityProfile(name, tuple(_entry(m, int(cum[m - 2])) for m in pts))
+    return DensityProfile(name, tuple(_entry(m, c) for m, c in zip(pts, counts)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +263,7 @@ def dominance_check(K: TournamentOracle, d: RankDecomposition, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# block schemes
+# block schemes as run layouts
 
 BLOCK_PATTERNS = (
     "identity",
@@ -268,29 +277,200 @@ _MIN_RATIO = 1.1
 _DEFAULT_W0 = 1 << 1500
 
 
+@dataclass(frozen=True)
+class _Run:
+    """Consecutive indices whose values form one arithmetic progression
+    lying inside a single gap of every earlier value.
+
+    `above` (G) counts the earlier entries above every member, so the
+    member at offset s has G + s earlier entries above it when the run
+    descends and G when it ascends.  `length` is math.inf for an
+    unbounded run; `joins` marks a run that continues the block of the
+    run before.
+    """
+
+    start: int
+    length: int | float
+    descending: bool
+    above: int
+    first: int  # value of the member at offset 0
+    step: int
+    joins: bool = False
+
+    def value(self, s: int) -> int:
+        return self.first - s * self.step if self.descending else self.first + s * self.step
+
+    def gained(self, t: int) -> int:
+        """Inversions that the first t members add to the prefix before them."""
+        return self.above * t + (t * (t - 1) // 2 if self.descending else 0)
+
+    def candidates(self, inv0: int, a: int, b: int) -> list[int]:
+        """The prefix lengths in [a, b] where the run can put its minimum
+        density: both ends and the integers next to each real root of the
+        density's derivative.
+
+        With t = n - start, 2A(n) = 2(inv0 + gained(t)) is a quadratic
+        alpha*n^2 + beta*n + gamma, and the derivative of 2A / (n^2 - n)
+        has the sign of D(n) = -(alpha + beta)*n^2 - 2*gamma*n + gamma, so
+        the density is monotone between the roots of D.
+        """
+        P, G = self.start, self.above
+        if self.descending:
+            alpha, beta, gamma = 1, 2 * G - 2 * P - 1, 2 * inv0 - 2 * G * P + P * P + P
+        else:
+            alpha, beta, gamma = 0, 2 * G, 2 * inv0 - 2 * G * P
+        c2, c1, c0 = -(alpha + beta), -2 * gamma, gamma
+        floors = []
+        if c2:
+            disc = c1 * c1 - 4 * c2 * c0
+            if disc >= 0:
+                # isqrt is off by less than 1, so each root lies within 1/2
+                # of its value with isqrt(disc) in place of sqrt(disc)
+                s = math.isqrt(disc)
+                floors = [(-c1 + d) // (2 * c2) for d in (-s, s)]
+        elif c1:
+            floors = [-c0 // c1]
+        near = {m + k for m in floors for k in (-1, 0, 1, 2)}
+        return sorted({a, b} | {m for m in near if a <= m <= b})
+
+
+class _Layout:
+    """A scheme's runs in index order, extended lazily, with the inversion
+    count of the prefix that ends where each run starts."""
+
+    def __init__(self, runs: Iterator[_Run]):
+        self._source = runs
+        self.runs: list[_Run] = []
+        self.starts: list[int] = []
+        self.inv: list[int] = []
+        self._failure: Optional[SchemeError] = None  # ends the source for good
+
+    def _extend(self) -> None:
+        if self._failure is not None:
+            raise self._failure
+        try:
+            run = next(self._source)
+        except SchemeError as err:
+            self._failure = err
+            raise
+        inv0 = 0
+        if self.runs:
+            last = self.runs[-1]
+            inv0 = self.inv[-1] + last.gained(last.length)
+        self.runs.append(run)
+        self.starts.append(run.start)
+        self.inv.append(inv0)
+
+    def cover(self, n: int) -> int:
+        """Extend until the runs hold the first n >= 1 indices; return the
+        position of the run holding index n - 1."""
+        while not self.runs or self.runs[-1].start + self.runs[-1].length < n:
+            self._extend()
+        return bisect.bisect_right(self.starts, n - 1) - 1
+
+    def iter_runs(self) -> Iterator[_Run]:
+        k = 0
+        while True:
+            if k == len(self.runs):
+                self._extend()
+            yield self.runs[k]
+            k += 1
+
+    def value(self, i: int) -> int:
+        run = self.runs[self.cover(i + 1)]
+        return run.value(i - run.start)
+
+    def inversions(self, n: int) -> int:
+        if n < 2:
+            return 0
+        k = self.cover(n)
+        return self.inv[k] + self.runs[k].gained(n - self.starts[k])
+
+    def ranks(self, n: int) -> np.ndarray:
+        if n == 0:
+            return np.zeros(0, dtype=np.int64)
+        last = self.cover(n)
+        # index ranges in descending value order; each run enters as one
+        # range right under the `above` earlier entries that outrank it
+        order: list[tuple[int, int, bool]] = []
+        for run in self.runs[: last + 1]:
+            hi = min(n, run.start + run.length)
+            order.insert(_split_after(order, run.above), (run.start, hi, run.descending))
+        pos = np.concatenate(
+            [np.arange(lo, hi) if desc else np.arange(hi - 1, lo - 1, -1)
+             for lo, hi, desc in order]
+        )
+        ranks = np.empty(n, dtype=np.int64)
+        ranks[pos] = np.arange(n - 1, -1, -1, dtype=np.int64)
+        return ranks
+
+    def window_min(self, n_lo: int, n_hi: int) -> tuple[Fraction, int]:
+        # run k holds the prefix lengths start+1 .. start+length
+        first, last = self.cover(n_lo), self.cover(n_hi)
+        best_num, best_den, best_n = 1, 0, -1
+        for run, inv0 in zip(self.runs[first : last + 1], self.inv[first : last + 1]):
+            a = max(n_lo, run.start + 1)
+            b = min(n_hi, run.start + run.length)
+            for n in run.candidates(inv0, a, b):
+                num = inv0 + run.gained(n - run.start)
+                den = n * (n - 1) // 2
+                if best_n < 0 or num * best_den < best_num * den:
+                    best_num, best_den, best_n = num, den, n
+        return Fraction(best_num, best_den), best_n
+
+
+def _split_after(order: list[tuple[int, int, bool]], m: int) -> int:
+    """Split `order` so that a range boundary falls after its first m
+    entries, and return the position of that boundary."""
+    k = 0
+    while m > 0:
+        lo, hi, desc = order[k]
+        if hi - lo > m:
+            mid = lo + m if desc else hi - m
+            parts = [(lo, mid), (mid, hi)] if desc else [(mid, hi), (lo, mid)]
+            order[k : k + 1] = [(x, y, desc) for x, y in parts]
+        m -= min(m, hi - lo)
+        k += 1
+    return k
+
+
 @dataclass
 class BlockScheme:
-    """A parametric injection assembled from disjoint value intervals.
+    """A parametric injection laid out as a sequence of runs.
 
-    `injection` is the total InjectionSpec; `block_sizes()` streams the
-    committed interval widths; `prefix_ranks(n)` returns the dense value
-    ranks of the first n arguments without materializing ordinal values,
-    which is what the counting kernel wants at large n.
+    `injection` is the total InjectionSpec, read off the runs one value
+    at a time; `block_sizes()` streams the committed interval widths;
+    `prefix_ranks(n)` gives the dense value ranks of the first n
+    arguments and `inversions(n)` their inversion count, neither of which
+    materializes an ordinal value.
     """
 
     pattern: str
     params: dict
     injection: InjectionSpec
-    _sizes_fn: Callable[[], Iterator[int]] = field(repr=False)
-    _ranks_fn: Callable[[int], np.ndarray] = field(repr=False)
+    _layout: _Layout = field(repr=False)
 
     def block_sizes(self) -> Iterator[int]:
-        return self._sizes_fn()
+        size = 0
+        for run in self._layout.iter_runs():
+            if size and not run.joins:
+                yield size
+                size = 0
+            if not run.descending:  # identity's ascending run stacks one-entry blocks
+                yield from itertools.repeat(1)
+            else:
+                size += run.length
 
     def prefix_ranks(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("prefix length must be non-negative")
-        return self._ranks_fn(n)
+        return self._layout.ranks(n)
+
+    def inversions(self, n: int) -> int:
+        """Number of inverted pairs among the first n arguments."""
+        if n < 0:
+            raise ValueError("prefix length must be non-negative")
+        return self._layout.inversions(n)
 
     def describe(self) -> str:
         if not self.params:
@@ -308,288 +488,102 @@ def _fmt_param(v) -> str:
     return str(v)
 
 
-def _ranks_from_int_values(vals: np.ndarray) -> np.ndarray:
-    order = np.argsort(vals, kind="stable")
-    ranks = np.empty(vals.size, dtype=np.int64)
-    ranks[order] = np.arange(vals.size, dtype=np.int64)
-    return ranks
-
-
-def _geometric_sizes(r: float, L0: int) -> Callable[[], Iterator[int]]:
-    def gen() -> Iterator[int]:
-        prev = 0
-        cur = float(L0)
-        while True:
-            if prev > (1 << 512) or math.isinf(cur):
-                size = prev * 2
-            else:
-                size = max(prev, int(round(cur)), 1)
-            prev = size
-            yield size
-            cur = cur * r
-    return gen
-
-
-class _Boundaries:
-    """Lazily extended prefix sums of a block-size stream."""
-
-    def __init__(self, sizes_fn: Callable[[], Iterator[int]]):
-        self._it = sizes_fn()
-        self.B = [0]
-
-    def cover(self, i: int) -> None:
-        while self.B[-1] <= i:
-            self.B.append(self.B[-1] + next(self._it))
-
-    def locate(self, i: int) -> int:
-        self.cover(i)
-        return bisect.bisect_right(self.B, i) - 1
-
-
-def _interval_scheme(
-    pattern: str, r: float, L0: int, splitter: Callable[[int, int, int], int]
-) -> BlockScheme:
-    """Schemes whose block c occupies the value interval [B_c, B_{c+1}).
-
-    `splitter(base, width, t)` places offset t of a block within its own
-    interval; single-high and paired-high-low differ only there.
-    """
-    sizes_fn = _geometric_sizes(r, L0)
-    bounds = _Boundaries(sizes_fn)
-
-    def f(i: int) -> OrdinalValue:
-        c = bounds.locate(i)
-        base, width = bounds.B[c], bounds.B[c + 1] - bounds.B[c]
-        return OrdinalValue(0, splitter(base, width, i - base))
-
-    def ranks(n: int) -> np.ndarray:
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        bounds.cover(n - 1)
-        vals = np.empty(n, dtype=np.int64)
-        B = bounds.B
-        for c in range(len(B) - 1):
-            lo, hi = B[c], min(B[c + 1], n)
-            if lo >= n:
-                break
-            width = B[c + 1] - B[c]
-            t = np.arange(0, hi - lo, dtype=np.int64)
-            vals[lo:hi] = _split_vec(splitter, lo, width, t)
-        return _ranks_from_int_values(vals)
-
+def _scheme(pattern: str, params: dict, description: str, runs: Iterator[_Run]) -> BlockScheme:
+    layout = _Layout(runs)
     inj = InjectionSpec(
-        f, description=f"{pattern}(r={r:g},L0={L0})", finite_below=True
+        lambda i: OrdinalValue(0, layout.value(i)),
+        description=description,
+        finite_below=True,
     )
-    return BlockScheme(
-        pattern=pattern,
-        params={"r": float(r), "L0": int(L0)},
-        injection=inj,
-        _sizes_fn=sizes_fn,
-        _ranks_fn=ranks,
-    )
+    return BlockScheme(pattern=pattern, params=params, injection=inj, _layout=layout)
 
 
-def _split_vec(splitter, base: int, width: int, t: np.ndarray) -> np.ndarray:
-    # vectorized twins of the two scalar splitters
-    if splitter is _place_single_high:
-        return base + width - 1 - t
-    u = (width + 1) // 2
-    out = np.empty(t.size, dtype=np.int64)
-    hi = t < u
-    out[hi] = base + width - 1 - t[hi]
-    out[~hi] = base + (width - u) - 1 - (t[~hi] - u)
-    return out
+def _geometric_sizes(r: float, L0: int) -> Iterator[int]:
+    prev = 0
+    cur = float(L0)
+    while True:
+        if prev > (1 << 512) or math.isinf(cur):
+            size = prev * 2
+        else:
+            size = max(prev, int(round(cur)), 1)
+        prev = size
+        yield size
+        cur = cur * r
 
 
-def _place_single_high(base: int, width: int, t: int) -> int:
-    return base + width - 1 - t
+def _stacked_runs(sizes: Iterator[int]) -> Iterator[_Run]:
+    """One descending run per block, each block above every older one."""
+    P = 0
+    for L in sizes:
+        yield _Run(P, L, True, 0, P + L - 1, 1)
+        P += L
 
 
-def _place_paired(base: int, width: int, t: int) -> int:
-    # upper half first (descending), then the lower half (descending):
-    # the low block lands under the block just placed but over everything
-    # older
-    u = (width + 1) // 2
-    if t < u:
-        return base + width - 1 - t
-    return base + (width - u) - 1 - (t - u)
+def _paired_runs(sizes: Iterator[int]) -> Iterator[_Run]:
+    """Per block the upper half descending, then the lower half descending:
+    the low half lands under the half just placed but over every older
+    block."""
+    P = 0
+    for w in sizes:
+        u = (w + 1) // 2
+        yield _Run(P, u, True, 0, P + w - 1, 1)
+        if w > u:
+            yield _Run(P + u, w - u, True, u, P + w - u - 1, 1, joins=True)
+        P += w
 
 
-class _NestedDipTable:
-    """Cycle bookkeeping for the multi-phase interleaving scheme.
+def _nested_step(step: int, length: int) -> int:
+    """Step of the cycle that nests under a cycle with the given step."""
+    return step // (length + 1)
+
+
+def _nested_dip_runs(r: float, q: float, L0: int, W0: int) -> Iterator[_Run]:
+    """Runs of the multi-phase interleaving scheme, one per cycle.
 
     Cycle c is a descending arithmetic progression of length L_c and step
     W_c.  Cycle c+1 nests into the gap under the dip position p_c of cycle
-    c with a strictly smaller step, so its whole run stays inside that gap.
+    c with a strictly smaller step, so its whole run stays inside that
+    gap and has the sum of p_k over k <= c earlier entries above it.
     Steps shrink by a factor L+1 per cycle and therefore hit zero after
     finitely many cycles no matter how large W0 is; from that point every
     later cycle is placed as a plain block above all earlier values, which
     keeps the map total and keeps every down-set finite.
     """
-
-    def __init__(self, r: float, q: float, L0: int, W0: int):
-        self.q = q
-        self._sizes = _geometric_sizes(r, L0)()
-        self.L: list[int] = []
-        self.P: list[int] = [0]
-        self.W: list[int] = []
-        self.TOP: list[int] = []
-        self.p: list[int] = []
-        self.W0 = W0
-        self.exhaust: Optional[int] = None  # first plain-block cycle
-        self._ceiling = 0  # running max value once exhausted
-
-    def cover(self, i: int) -> None:
-        while self.P[-1] <= i:
-            self._extend()
-
-    def _extend(self) -> None:
-        c = len(self.L)
-        Lc = next(self._sizes)
-        self.L.append(Lc)
-        self.P.append(self.P[-1] + Lc)
-        self.p.append(min(max(1, math.ceil(self.q * Lc)), Lc - 1))
-        if self.exhaust is not None:
-            self.W.append(0)
-            self.TOP.append(self._ceiling + Lc)
-            self._ceiling += Lc
-            return
+    P = above = 0
+    ceiling = None  # top of the plain blocks once the steps are exhausted
+    for c, L in enumerate(_geometric_sizes(r, L0)):
         if c == 0:
-            self.W.append(self.W0)
-            self.TOP.append(Lc * self.W0)
-            return
-        Wn = self.W[c - 1] // (Lc + 1)
-        if Wn == 0:
-            self.exhaust = c
-            self._ceiling = self.TOP[0] + 1  # strictly above every nested value
-            self.W.append(0)
-            self.TOP.append(self._ceiling + Lc)
-            self._ceiling += Lc
-            return
-        gap_hi = self.TOP[c - 1] - (self.p[c - 1] - 1) * self.W[c - 1]
-        gap_lo = gap_hi - self.W[c - 1]
-        top = gap_lo + Lc * Wn
-        if not (gap_lo < top - (Lc - 1) * Wn and top < gap_hi):
-            raise SchemeError(
-                f"cycle {c} does not fit its gap; the intervals would overlap"
-            )
-        self.W.append(Wn)
-        self.TOP.append(top)
-
-    def value(self, i: int) -> int:
-        self.cover(i)
-        c = bisect.bisect_right(self.P, i) - 1
-        t = i - self.P[c]
-        if self.exhaust is not None and c >= self.exhaust:
-            return self.TOP[c] - t
-        return self.TOP[c] - t * self.W[c]
-
-    def prefix_ranks(self, n: int) -> np.ndarray:
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        self.cover(n - 1)
-        last = bisect.bisect_right(self.P, n - 1) - 1
-        ex = self.exhaust if self.exhaust is not None else last + 1
-        segs: list[np.ndarray] = []
-        # plain blocks sit above everything nested, newest on top
-        for c in range(last, ex - 1, -1):
-            cnt = min(self.L[c], n - self.P[c])
-            segs.append(np.arange(self.P[c], self.P[c] + cnt, dtype=np.int64))
-        # nested cycles: top run, then everything deeper, then the suffix
-        def walk(c: int) -> None:
-            if c >= ex or self.P[c] >= n:
-                return
-            cnt = min(self.L[c], n - self.P[c])
-            head = min(self.p[c], cnt)
-            segs.append(np.arange(self.P[c], self.P[c] + head, dtype=np.int64))
-            walk(c + 1)
-            if cnt > self.p[c]:
-                segs.append(
-                    np.arange(self.P[c] + self.p[c], self.P[c] + cnt, dtype=np.int64)
-                )
-
-        walk(0)
-        pos = np.concatenate(segs)
-        ranks = np.empty(n, dtype=np.int64)
-        ranks[pos] = np.arange(n - 1, -1, -1, dtype=np.int64)
-        return ranks
-
-
-def _nested_dip_scheme(r: float, q: float, L0: int, W0: int) -> BlockScheme:
-    table = _NestedDipTable(r, q, L0, W0)
-
-    def f(i: int) -> OrdinalValue:
-        return OrdinalValue(0, table.value(i))
-
-    params = {"r": float(r), "q": float(q), "L0": int(L0)}
-    if W0 != _DEFAULT_W0:
-        params["W0"] = W0
-    inj = InjectionSpec(
-        f,
-        description=f"nested-dip(r={r:g},q={q:g},L0={L0})",
-        finite_below=True,
-    )
-    return BlockScheme(
-        pattern="nested-dip",
-        params=params,
-        injection=inj,
-        _sizes_fn=_geometric_sizes(r, L0),
-        _ranks_fn=table.prefix_ranks,
-    )
+            step, top = W0, L * W0
+            roof = top + 1  # strictly above every nested value
+        elif ceiling is None:
+            new_step = _nested_step(step, L)
+            if new_step == 0:
+                ceiling = roof
+            else:
+                gap_hi = top - (dip - 1) * step
+                gap_lo = gap_hi - step
+                step, top = new_step, gap_lo + L * new_step
+                if not (gap_lo < top - (L - 1) * step and top < gap_hi):
+                    raise SchemeError(
+                        f"cycle {c} does not fit its gap; the intervals would overlap"
+                    )
+        if ceiling is None:
+            yield _Run(P, L, True, above, top, step)
+            dip = min(max(1, math.ceil(q * L)), L - 1)
+            above += dip
+        else:
+            ceiling += L
+            yield _Run(P, L, True, 0, ceiling, 1)
+        P += L
 
 
 def factorial_scheme() -> BlockScheme:
     """The block scheme with factorial boundaries: block k covers the
     indices in [(k-1)!, k!), values descending inside the block and
     blocks stacked upward."""
-
-    def sizes() -> Iterator[int]:
-        prev = 0
-        k = 1
-        while True:
-            cur = math.factorial(k)
-            yield cur - prev
-            prev, k = cur, k + 1
-
-    def ranks(n: int) -> np.ndarray:
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        bounds = [0, 1]
-        while bounds[-1] < n:
-            bounds.append(math.factorial(len(bounds)))
-        vals = np.empty(n, dtype=np.int64)
-        for k in range(1, len(bounds)):
-            lo, hi = bounds[k - 1], bounds[k]
-            if lo >= n:
-                break
-            cut = min(hi, n)
-            vals[lo:cut] = lo + hi - 1 - np.arange(lo, cut, dtype=np.int64)
-        return _ranks_from_int_values(vals)
-
-    return BlockScheme(
-        pattern="factorial",
-        params={},
-        injection=FactorialBlock().equivalent_injection(),
-        _sizes_fn=sizes,
-        _ranks_fn=ranks,
-    )
-
-
-def _identity_scheme() -> BlockScheme:
-    def sizes() -> Iterator[int]:
-        while True:
-            yield 1
-
-    def ranks(n: int) -> np.ndarray:
-        return np.arange(n, dtype=np.int64)
-
-    return BlockScheme(
-        pattern="identity",
-        params={},
-        injection=identity_injection(),
-        _sizes_fn=sizes,
-        _ranks_fn=ranks,
-    )
+    sizes = (math.factorial(k) - math.factorial(k - 1) for k in itertools.count(2))
+    runs = _stacked_runs(itertools.chain([1], sizes))
+    return _scheme("factorial", {}, "factorial-block reversal", runs)
 
 
 def make_block_scheme(
@@ -611,7 +605,7 @@ def make_block_scheme(
         known = ", ".join(BLOCK_PATTERNS)
         raise SchemeError(f"unknown pattern {pattern!r}; catalogue: {known}")
     if pattern == "identity":
-        return _identity_scheme()
+        return _scheme("identity", {}, "identity", iter([_Run(0, math.inf, False, 0, 0, 1)]))
     if pattern == "factorial":
         return factorial_scheme()
     if not (r > _MIN_RATIO):
@@ -620,15 +614,20 @@ def make_block_scheme(
         )
     if not isinstance(L0, int) or L0 < 2:
         raise SchemeError("initial width L0 must be an integer of at least 2")
-    if pattern == "single-high":
-        return _interval_scheme(pattern, r, L0, _place_single_high)
-    if pattern == "paired-high-low":
-        return _interval_scheme(pattern, r, L0, _place_paired)
+    if pattern != "nested-dip":
+        lay = _stacked_runs if pattern == "single-high" else _paired_runs
+        runs = lay(_geometric_sizes(r, L0))
+        params = {"r": float(r), "L0": int(L0)}
+        return _scheme(pattern, params, f"{pattern}(r={r:g},L0={L0})", runs)
     if not (0.0 < q < 1.0):
         raise SchemeError("dip position q must lie strictly between 0 and 1")
     if W0 < 1:
         raise SchemeError("initial step W0 must be positive")
-    return _nested_dip_scheme(r, q, L0, W0)
+    params = {"r": float(r), "q": float(q), "L0": int(L0)}
+    if W0 != _DEFAULT_W0:
+        params["W0"] = W0
+    return _scheme("nested-dip", params, f"nested-dip(r={r:g},q={q:g},L0={L0})",
+                   _nested_dip_runs(r, q, L0, W0))
 
 
 # ---------------------------------------------------------------------------
@@ -656,26 +655,16 @@ def window_min_density(
     """Exact min over n in [n_lo, n_hi] of the scheme's inversion density
     at prefix n, with the smallest minimizing n.
 
-    A float scan locates the near-minimal band; exact integer comparison
-    settles the winner, so the result carries no rounding.
+    Closed form over the scheme's runs: inside a run the count at prefix
+    n is quadratic in n, so only the run ends that fall in the window and
+    the integers next to the roots of the density's derivative are
+    candidates.  They are compared by integer cross-multiplication, so
+    the cost grows with the number of runs, not with n_hi, and nothing is
+    rounded.
     """
     if not (2 <= n_lo < n_hi):
         raise ValueError("window must satisfy 2 <= n_lo < n_hi")
-    ranks = scheme.prefix_ranks(n_hi)
-    inv = np.cumsum(prior_greater_counts(ranks))  # inv[m-1] = inversions among [m]
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.float64)
-    dens = inv[n_lo - 1 : n_hi].astype(np.float64) / (ns * (ns - 1) / 2.0)
-    floor = float(dens.min())
-    band = np.nonzero(dens <= floor * (1.0 + 1e-9) + 1e-15)[0]
-    best_num = best_den = None
-    best_n = -1
-    for k in band:
-        n = n_lo + int(k)
-        num = int(inv[n - 1])
-        den = n * (n - 1) // 2
-        if best_num is None or num * best_den < best_num * den:
-            best_num, best_den, best_n = num, den, n
-    return Fraction(best_num, best_den), best_n
+    return scheme._layout.window_min(n_lo, n_hi)
 
 
 _R_GRID = (1.5, 2.0, 3.0, 4.0, 6.0, 8.0)

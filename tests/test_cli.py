@@ -239,3 +239,23 @@ def test_optimize_bad_window(capsys):
 def test_optimize_window_argument_shape(capsys):
     with pytest.raises(SystemExit):
         main(["optimize", "--horizon", "500", "--window", "12"])
+
+
+def test_inversions_scheme_reads_counts_from_its_runs(capsys, monkeypatch):
+    from tourlab import counting
+    from tourlab.core import FactorialBlock, InjectionSpec
+
+    def refuse(*args):
+        raise AssertionError("a catalogue scheme built values or ran the kernel")
+
+    monkeypatch.setattr(InjectionSpec, "values", refuse)
+    monkeypatch.setattr(counting, "prior_greater_counts", refuse)
+    code, out, _ = run_cli(
+        capsys, "inversions", "--injection", "factorial", "--nmax", "200000", "--stride", "500",
+    )
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
+    assert len(rows) == 400
+    K = FactorialBlock()
+    for n, fwd, _, _ in rows[::37]:
+        assert int(fwd) == K.forward_pairs_upto(int(n))

@@ -1,5 +1,6 @@
 """Density profiles, rank decompositions, and block-scheme search."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,9 @@ from tourlab.core import (
     TransitiveOmega,
     TransitiveOmegaStar,
 )
-from tourlab.counting import ranks_of_values
+import tourlab.counting as counting
+import tourlab.density as density
+from tourlab.counting import prior_greater_counts, ranks_of_values
 from tourlab.density import (
     BLOCK_PATTERNS,
     DensityProfile,
@@ -416,3 +419,124 @@ def test_optimizer_deterministic():
     b = optimize_scheme(BLOCK_PATTERNS, 20_000, window=(1000, 20_000))
     assert a[1] == b[1]
     assert a[0].describe() == b[0].describe()
+
+
+# ---------------------------------------------------------------------------
+# run layouts against the counting kernel
+
+
+def _window_min_reference(scheme, n_lo, n_hi):
+    # the kernel scan that window minima used before the run layouts: a
+    # float pass finds the near-minimal band, exact integers settle it
+    ranks = scheme.prefix_ranks(n_hi)
+    inv = np.cumsum(prior_greater_counts(ranks))  # inv[m-1] = inversions among [m]
+    ns = np.arange(n_lo, n_hi + 1, dtype=np.float64)
+    dens = inv[n_lo - 1 : n_hi].astype(np.float64) / (ns * (ns - 1) / 2.0)
+    floor = float(dens.min())
+    band = np.nonzero(dens <= floor * (1.0 + 1e-9) + 1e-15)[0]
+    best_num = best_den = None
+    best_n = -1
+    for k in band:
+        n = n_lo + int(k)
+        num = int(inv[n - 1])
+        den = n * (n - 1) // 2
+        if best_num is None or num * best_den < best_num * den:
+            best_num, best_den, best_n = num, den, n
+    return Fraction(best_num, best_den), best_n
+
+
+@st.composite
+def catalogue_schemes(draw):
+    pattern = draw(st.sampled_from(BLOCK_PATTERNS))
+    kw = {}
+    if pattern in ("single-high", "paired-high-low", "nested-dip"):
+        kw["r"] = draw(st.one_of(
+            st.floats(1.1001, 1.2), st.floats(1.2, 16.0), st.sampled_from([1.5, 2.0, 12.5])
+        ))
+        kw["L0"] = draw(st.one_of(st.integers(2, 9), st.integers(10, 300)))
+    if pattern == "nested-dip":
+        kw["q"] = draw(st.floats(0.01, 0.99))
+        if draw(st.booleans()):
+            kw["W0"] = draw(st.one_of(st.integers(1, 60), st.integers(61, 10 ** 12)))
+    return make_block_scheme(pattern, **kw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(catalogue_schemes(), st.integers(3, 3000), st.data())
+def test_window_min_matches_kernel_scan(scheme, n_hi, data):
+    n_lo = data.draw(st.integers(2, n_hi - 1))
+    assert window_min_density(scheme, n_lo, n_hi) == _window_min_reference(
+        scheme, n_lo, n_hi
+    )
+
+
+@pytest.mark.parametrize(
+    "pattern,kw",
+    [
+        ("identity", {}),
+        ("factorial", {}),
+        ("single-high", dict(r=1.15, L0=3)),
+        ("paired-high-low", dict(r=2.0, L0=7)),
+        ("paired-high-low", dict(r=1.12, L0=2)),
+        ("nested-dip", dict(r=2.0, q=0.9, L0=16)),
+        ("nested-dip", dict(r=1.5, q=0.6, L0=5, W0=40)),
+        ("nested-dip", dict(r=1.11, q=0.3, L0=3, W0=2)),
+    ],
+)
+def test_layout_counts_match_kernel(pattern, kw):
+    s = make_block_scheme(pattern, **kw)
+    n = 2000
+    # ranks from the scalar values, not from the layout's rank order
+    per = prior_greater_counts(ranks_of_values(s.injection.values(n)))
+    cum = np.concatenate([[0], np.cumsum(per)])
+    assert [s.inversions(m) for m in range(n + 1)] == [int(c) for c in cum]
+
+
+def test_scheme_profile_matches_injection_profile():
+    s = make_block_scheme("paired-high-low", r=1.5, L0=5)
+    assert inversion_density_profile(s, 3000, stride=7) == inversion_density_profile(
+        s.injection, 3000, stride=7
+    )
+
+
+def test_cycles_that_do_not_fit_raise(monkeypatch):
+    # the nesting rule always fits, so widen the step to break it
+    monkeypatch.setattr(density, "_nested_step", lambda step, length: step)
+    s = make_block_scheme("nested-dip", r=2.0, q=0.5, L0=4)
+    with pytest.raises(SchemeError, match="does not fit"):
+        window_min_density(s, 2, 100)
+    with pytest.raises(SchemeError, match="does not fit"):
+        s.injection.eval(50)
+
+
+def test_optimizer_needs_no_counting_kernel(monkeypatch):
+    def no_kernel(ranks):
+        raise AssertionError("the counting kernel ran on the density search path")
+
+    monkeypatch.setattr(counting, "prior_greater_counts", no_kernel)
+    monkeypatch.setattr(density, "prior_greater_counts", no_kernel, raising=False)
+    monkeypatch.setattr(InjectionSpec, "values", no_kernel)
+    scheme, report = optimize_scheme(BLOCK_PATTERNS, 10 ** 6, window=(10 ** 3, 10 ** 6))
+    assert report.identifier == "nested-dip(L0=256,q=0.97,r=12.5)"
+    assert report.min_window_density == Fraction(243998423, 248015625)
+    assert report.attained_at == 10 ** 6
+    assert scheme.describe() == report.identifier
+
+
+def test_window_min_factorial_to_1e12():
+    t0 = time.perf_counter()
+    dens, at = window_min_density(factorial_scheme(), 10 ** 3, 10 ** 12)
+    assert time.perf_counter() - t0 < 1.0
+    assert (dens, at) == (Fraction(35083, 84392), 1233)
+
+
+def test_window_min_nested_dip_to_1e12_is_exact():
+    s = make_block_scheme("nested-dip", r=2.0, q=0.9, L0=64)
+    lo, hi = 10 ** 6, 10 ** 12
+    dens, at = window_min_density(s, lo, hi)
+    assert isinstance(dens, Fraction)
+    assert dens.numerator > 2 ** 63  # beyond int64
+    assert lo <= at <= hi
+    assert dens == Fraction(s.inversions(at), at * (at - 1) // 2)
+    for n in (lo, at - 1, at + 1, hi, 10 ** 9, 7 * 10 ** 11):
+        assert Fraction(s.inversions(n), n * (n - 1) // 2) >= dens
