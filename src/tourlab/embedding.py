@@ -10,11 +10,13 @@ out-neighbor (v -> w), a '-'-neighbor an in-neighbor (w -> v).
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Container, Iterator, Optional, Sequence, Union
 
 from .analysis import gamma, is_acyclic
 from .core import (
+    FactorialBlock,
     FiniteOrientedGraph,
     OrdinalInjectionTournament,
     PresentedGraph,
@@ -406,28 +408,40 @@ class InfinitenessOracle:
     """Decides infiniteness of finite intersections of signed neighborhoods
     in a companion tournament and enumerates members of such intersections.
 
-    `decide_in_class` restricts attention to candidates of one sign class,
-    which the spanning engine needs for its parity choice, and
-    `enumerate_in_class` streams members of that class in increasing
-    vertex order.  `sign_class(v)` gives the vertex's class and must agree
-    with the left-to-right sign recursion.  Enumeration is only meaningful
-    for intersections decided infinite; otherwise it may return fewer
-    members than asked, including none.
+    An oracle decides one constraint at a time: `admits(v, s)` says whether
+    the constraint (v, s) keeps an intersection infinite, and `decide` is
+    the conjunction of `admits` over the constraints, so the left-to-right
+    sign recursion costs O(1) per vertex.  `classes` lists the sign classes
+    that meet every intersection decided infinite; `decide_in_class`
+    restricts attention to candidates of one class, which the spanning
+    engine needs for its parity choice.  `enumerate_in_class` streams
+    members of that class in increasing vertex order from vertex `start`
+    on, skipping `exclusions`; these are only tested for membership, so a
+    caller may pass a live set without copying it.  `sign_class(v)` gives
+    the vertex's class and must agree with the sign recursion.  Enumeration
+    is only meaningful for intersections decided infinite; otherwise it may
+    return fewer members than asked, including none.
     """
 
-    def decide(self, constraints: Sequence[Constraint]) -> bool:
+    classes: tuple[str, ...]
+
+    def admits(self, v: int, s: str) -> bool:
         raise NotImplementedError
+
+    def decide(self, constraints: Sequence[Constraint]) -> bool:
+        return all(self.admits(v, s) for (v, s) in constraints)
 
     def decide_in_class(self, constraints: Sequence[Constraint], klass: str) -> bool:
-        raise NotImplementedError
+        return klass in self.classes and self.decide(constraints)
 
     def sign_class(self, v: int) -> str:
-        raise NotImplementedError
+        """The one infinite class; oracles with two override this."""
+        return self.classes[0]
 
     def enumerate(
         self,
         constraints: Sequence[Constraint],
-        exclusions: Iterable[int] = (),
+        exclusions: Container[int] = (),
         count: int = 1,
     ) -> list[int]:
         streams = [
@@ -441,65 +455,48 @@ class InfinitenessOracle:
     def enumerate_in_class(
         self,
         constraints: Sequence[Constraint],
-        exclusions: Iterable[int],
+        exclusions: Container[int],
         count: int,
         klass: str,
+        start: int = 0,
     ) -> list[int]:
         raise NotImplementedError
 
 
-class TransitiveUpOracle(InfinitenessOracle):
-    """Signed neighborhoods in the upward transitive tournament: forward
-    neighborhoods are upward tails (infinite), backward ones finite."""
+def _free_run(w: int, step: int, exclusions: Container[int], count: int) -> list[int]:
+    """The first `count` of w, w + step, w + 2*step, ... not excluded."""
+    out: list[int] = []
+    while len(out) < count:
+        if w not in exclusions:
+            out.append(w)
+        w += step
+    return out
 
-    def decide(self, constraints):
-        return all(s == "+" for (_, s) in constraints)
 
-    def decide_in_class(self, constraints, klass):
-        return klass == "+" and self.decide(constraints)
+class _TransitiveOracle(InfinitenessOracle):
+    """Signed neighborhoods in a transitive tournament: those of the one
+    sign in `classes` are upward tails (infinite), the others finite."""
 
-    def sign_class(self, v):
-        return "+"
+    def admits(self, v, s):
+        return s == self.classes[0]
 
-    def enumerate_in_class(self, constraints, exclusions, count, klass):
+    def enumerate_in_class(self, constraints, exclusions, count, klass, start=0):
         if not self.decide_in_class(constraints, klass):
             return []
         lo = max((v + 1 for (v, _) in constraints), default=0)
-        excl = set(exclusions)
-        out: list[int] = []
-        w = lo
-        while len(out) < count:
-            if w not in excl:
-                out.append(w)
-            w += 1
-        return out
+        return _free_run(max(lo, start), 1, exclusions, count)
 
 
-class TransitiveDownOracle(InfinitenessOracle):
-    """Dual of TransitiveUpOracle: backward neighborhoods are the upward
-    tails."""
+class TransitiveUpOracle(_TransitiveOracle):
+    """Upward transitive tournament: forward neighborhoods are the tails."""
 
-    def decide(self, constraints):
-        return all(s == "-" for (_, s) in constraints)
+    classes = ("+",)
 
-    def decide_in_class(self, constraints, klass):
-        return klass == "-" and self.decide(constraints)
 
-    def sign_class(self, v):
-        return "-"
+class TransitiveDownOracle(_TransitiveOracle):
+    """Downward transitive tournament: backward neighborhoods are the tails."""
 
-    def enumerate_in_class(self, constraints, exclusions, count, klass):
-        if not self.decide_in_class(constraints, klass):
-            return []
-        lo = max((v + 1 for (v, _) in constraints), default=0)
-        excl = set(exclusions)
-        out: list[int] = []
-        w = lo
-        while len(out) < count:
-            if w not in excl:
-                out.append(w)
-            w += 1
-        return out
+    classes = ("-",)
 
 
 class AlwaysInfiniteOracle(InfinitenessOracle):
@@ -512,18 +509,14 @@ class AlwaysInfiniteOracle(InfinitenessOracle):
     hang.
     """
 
+    classes = ("+",)
+
     def __init__(self, K: TournamentOracle, scan_limit: int = 2_000_000):
         self.K = K
         self.scan_limit = scan_limit
 
-    def decide(self, constraints):
+    def admits(self, v, s):
         return True
-
-    def decide_in_class(self, constraints, klass):
-        return klass == "+"
-
-    def sign_class(self, v):
-        return "+"
 
     def _satisfies(self, w, constraints):
         for (v, s) in constraints:
@@ -536,12 +529,11 @@ class AlwaysInfiniteOracle(InfinitenessOracle):
                 return False
         return True
 
-    def enumerate_in_class(self, constraints, exclusions, count, klass):
+    def enumerate_in_class(self, constraints, exclusions, count, klass, start=0):
         if klass != "+":
             return []
-        excl = set(exclusions)
         out: list[int] = []
-        w = 0
+        w = start
         while len(out) < count:
             if w > self.scan_limit:
                 raise OracleInconsistencyError(
@@ -549,7 +541,7 @@ class AlwaysInfiniteOracle(InfinitenessOracle):
                     f"{len(out)} of {count} members; the companion "
                     "tournament does not deliver the promised infinitude"
                 )
-            if w not in excl and self._satisfies(w, constraints):
+            if w not in exclusions and self._satisfies(w, constraints):
                 out.append(w)
             w += 1
         return out
@@ -560,37 +552,32 @@ class FiniteBelowOracle(InfinitenessOracle):
     down-sets: forward neighborhoods (toward smaller values) are finite,
     backward ones cofinite, so every sign is '-'."""
 
+    classes = ("-",)
+
     def __init__(self, K: OrdinalInjectionTournament, scan_limit: int = 2_000_000):
         if not K.injection.finite_below:
             raise ValueError("companion injection lacks the finite-below property")
         self.K = K
         self.scan_limit = scan_limit
 
-    def decide(self, constraints):
-        return all(s == "-" for (_, s) in constraints)
+    def admits(self, v, s):
+        return s == "-"
 
-    def decide_in_class(self, constraints, klass):
-        return klass == "-" and self.decide(constraints)
-
-    def sign_class(self, v):
-        return "-"
-
-    def enumerate_in_class(self, constraints, exclusions, count, klass):
+    def enumerate_in_class(self, constraints, exclusions, count, klass, start=0):
         if not self.decide_in_class(constraints, klass):
             return []
         f = self.K.injection
         anchors = {v for (v, _) in constraints}
         bound = max((f.eval(v) for v in anchors), default=None)
-        excl = set(exclusions)
         out: list[int] = []
-        w = 0
+        w = start
         while len(out) < count:
             if w > self.scan_limit:
                 raise OracleInconsistencyError(
                     "value-order scan exhausted; the finite-below property "
                     "of the companion injection looks violated"
                 )
-            if w not in excl and w not in anchors:
+            if w not in exclusions and w not in anchors:
                 if bound is None or f.eval(w) > bound:
                     out.append(w)
             w += 1
@@ -604,35 +591,23 @@ class SplitTransitiveOracle(InfinitenessOracle):
     every constraint matches its anchor's class, and then both classes
     meet it infinitely."""
 
+    classes = ("+", "-")
+
     def sign_class(self, v):
         return "+" if v % 2 == 0 else "-"
 
-    @staticmethod
-    def _feasible(constraints):
-        return all((s == "+") == (v % 2 == 0) for (v, s) in constraints)
+    def admits(self, v, s):
+        return (s == "+") == (v % 2 == 0)
 
-    def decide(self, constraints):
-        return self._feasible(constraints)
-
-    def decide_in_class(self, constraints, klass):
-        return self._feasible(constraints)
-
-    def enumerate_in_class(self, constraints, exclusions, count, klass):
-        if not self._feasible(constraints):
+    def enumerate_in_class(self, constraints, exclusions, count, klass, start=0):
+        if not self.decide_in_class(constraints, klass):
             return []
         parity = 0 if klass == "+" else 1
-        lo = 0
+        lo = start
         for (v, _) in constraints:
             if v % 2 == parity:
                 lo = max(lo, v + 1)
-        w = lo if lo % 2 == parity else lo + 1
-        excl = set(exclusions)
-        out: list[int] = []
-        while len(out) < count:
-            if w not in excl:
-                out.append(w)
-            w += 2
-        return out
+        return _free_run(lo if lo % 2 == parity else lo + 1, 2, exclusions, count)
 
 
 def infiniteness_oracle_for(K: TournamentOracle) -> InfinitenessOracle:
@@ -643,9 +618,28 @@ def infiniteness_oracle_for(K: TournamentOracle) -> InfinitenessOracle:
         return TransitiveDownOracle()
     if isinstance(K, SplitTransitive):
         return SplitTransitiveOracle()
+    if isinstance(K, FactorialBlock):  # the same tournament, as a value order
+        K = OrdinalInjectionTournament(K.equivalent_injection())
     if isinstance(K, OrdinalInjectionTournament) and K.injection.finite_below:
         return FiniteBelowOracle(K)
     return AlwaysInfiniteOracle(K)
+
+
+def _sign_stream(oracle: InfinitenessOracle) -> Iterator[str]:
+    """Left-to-right signs of K-vertices 0, 1, 2, ...
+
+    Vertex u gets '+' exactly when the earlier signed constraints plus
+    (u, '+') are decided infinite.  Since `decide` is a conjunction of
+    `admits`, one running flag for the earlier constraints replaces
+    deciding the whole prefix again.
+    """
+    ok = True
+    for u in itertools.count():
+        if ok and oracle.admits(u, "+"):
+            yield "+"
+        else:
+            ok = ok and oracle.admits(u, "-")
+            yield "-"
 
 
 def classify_vertices(
@@ -659,16 +653,13 @@ def classify_vertices(
     means the oracle misdescribes its companion.
     """
     signs: list[str] = []
-    constraints: list[Constraint] = []
-    for v in range(n):
-        s = "+" if oracle.decide(constraints + [(v, "+")]) else "-"
+    for v, s in zip(range(n), _sign_stream(oracle)):
         if oracle.sign_class(v) != s:
             raise OracleInconsistencyError(
                 f"sign recursion gives {s!r} at vertex {v} but the oracle's "
                 f"class map says {oracle.sign_class(v)!r}"
             )
         signs.append(s)
-        constraints.append((v, s))
     return StarSigns(tuple(signs))
 
 
@@ -777,15 +768,12 @@ def spanning_embed(
             roots_done = True
             return None
 
+    sign_stream = _sign_stream(oracle)
     signs: list[str] = []
-    sign_constraints: list[Constraint] = []
 
     def sign_of(v: int) -> str:
         while len(signs) <= v:
-            u = len(signs)
-            s = "+" if oracle.decide(sign_constraints + [(u, "+")]) else "-"
-            signs.append(s)
-            sign_constraints.append((u, s))
+            signs.append(next(sign_stream))
         return signs[v]
 
     def start_machine(k_vertex: int) -> bool:
@@ -797,6 +785,7 @@ def spanning_embed(
         v1 = _extremal_in_component(G, r, "-" if star == "+" else "+", budget)
         m = _Machine(len(machines), G, v1, flavor, budget)
         machines.append(m)
+        active.append(m)
         phi.assign(v1, k_vertex)
         steps.append(SpanStep(k_vertex, m.id, 0, 1, v1, (v1,)))
         return True
@@ -852,9 +841,10 @@ def spanning_embed(
                 f"size {MAX_CHUNK}"
             )
 
+        # every vertex below k_vertex is covered and k_vertex is the pin
         need = 1 << (free - 1) if free >= 1 else 0
         pool = oracle.enumerate_in_class(
-            constraints, phi.image | {k_vertex}, need, new_diamond
+            constraints, phi._image, need, new_diamond, start=k_vertex + 1
         )
         sub = _induced_subgraph(G, chunk)
         emb = embed_finite_acyclic(
@@ -866,21 +856,20 @@ def spanning_embed(
         m.frontier = i_j
         return True
 
+    active: list[_Machine] = []  # machines not retired, in creation order
     rotation = 0
     for k_vertex in range(horizon):
         if phi.has_target(k_vertex):
             continue
-        active: list[Optional[_Machine]] = [m for m in machines if not m.retired]
         # every third uncovered vertex offers the fresh-component slot first;
         # otherwise rotate through the running machines and fall back to it
-        if active:
-            shift = rotation % len(active)
-            order = active[shift:] + active[:shift]
-            slots = [None] + order if rotation % 3 == 2 else order + [None]
+        order = _rotated(active, rotation)
+        if rotation % 3 == 2:
+            slots = itertools.chain([None], order)
         else:
-            slots = [None]
+            slots = itertools.chain(order, [None])
         rotation += 1
-        covered = False
+        covered = retired = False
         for m in slots:
             if m is None:
                 if start_machine(k_vertex):
@@ -890,13 +879,23 @@ def spanning_embed(
             if advance(m, k_vertex):
                 covered = True
                 break
-            m.retired = True
+            m.retired = retired = True
         if not covered:
             raise SchemeError(
                 f"no component can cover tournament vertex {k_vertex}; "
                 "the graph ran out of room"
             )
+        if retired:
+            active = [m for m in active if not m.retired]
     return SpanningResult(phi, steps, machines)
+
+
+def _rotated(active: list[_Machine], shift: int) -> Iterator[_Machine]:
+    """The machines from position shift (mod their number) on, wrapping
+    round; lazy, since the first one usually covers the vertex."""
+    n = len(active)
+    for i in range(n):
+        yield active[(shift + i) % n]
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """CLI behavior: output shapes, exit codes, determinism, error mapping."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from tourlab.cli import main
+from tourlab.core import interleaved_forest
 
 
 @pytest.fixture
@@ -135,6 +137,63 @@ def test_embed_always_infinite_oracle(capsys):
     )
     assert code == 0
     assert "valid=true" in out
+
+
+# sha256 of stdout, unchanged since the engine re-decided the signed prefix
+# and scanned from vertex 0 on every step; they pin the machine rotation and
+# the pools the oracles hand out
+FROZEN_EMBEDS = [
+    ("interleaved-forest", "random:5",
+     "40092f825dc9dc35c05a8d24fd0a4d7182004b71031d69a795987cdda4f692c3"),
+    ("out-stars", "random:5",
+     "af1db4dfc5d03e854652367bddcf452f1c4a5fa3ea040bac8d05cc8e2d74a994"),
+    ("interleaved-forest", "split-transitive",
+     "29a254c2768fb95f3b4fae08994e3c88db9a6e91beab132a1f4d46426b2891e7"),
+    ("interleaved-forest", "transitive-omega",
+     "070a09e7b0cb8ac3c2a4fc1ce4aa7fc23d533deeb313b6e3d274a86fe4e0d0ca"),
+]
+
+
+@pytest.mark.parametrize("graph, tournament, digest", FROZEN_EMBEDS)
+def test_embed_output_frozen(capsys, graph, tournament, digest):
+    code, out, _ = run_cli(
+        capsys, "embed", "--graph", graph, "--tournament", tournament,
+        "--horizon", "2000",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _factorial_block(v):
+    """Index of the block holding v: blocks end at 1!, 2!, 3!, ..."""
+    k, end = 0, 1
+    while v >= end:
+        k += 1
+        end *= k + 1
+    return k
+
+
+def test_embed_into_factorial_block_covers_the_horizon(capsys):
+    code, out, err = run_cli(
+        capsys, "embed", "--graph", "interleaved-forest",
+        "--tournament", "factorial-block", "--horizon", "1000",
+    )
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[-1].startswith("#RESULT covered=1000,valid=true,")
+    phi = dict(tuple(map(int, l.split())) for l in lines if l[0].isdigit())
+    assert len(set(phi.values())) == len(phi)
+    assert set(range(1000)) <= set(phi.values())
+    # a -> b exactly when a < b inside one block, or a > b across blocks
+    G = interleaved_forest()
+    edges = 0
+    for g, a in phi.items():
+        for w in G.out_neighbors(g):
+            if w in phi:
+                b = phi[w]
+                assert (_factorial_block(a) == _factorial_block(b)) == (a < b)
+                edges += 1
+    assert edges > 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,18 @@ from tourlab.core import (
     TransitiveOmega,
     TransitiveOmegaStar,
     anti_path,
+    identity_injection,
     interleaved_forest,
     make_ordinal_injection_tournament,
     out_stars,
     random_presented,
+    tournament_from_name,
 )
 from tourlab.embedding import (
     AlwaysInfiniteOracle,
     EmbeddingMap,
     FiniteBelowOracle,
+    InfinitenessOracle,
     SplitTransitiveOracle,
     TransitiveDownOracle,
     TransitiveUpOracle,
@@ -34,6 +37,7 @@ from tourlab.embedding import (
     pm_partition,
     spanning_embed,
     tournament_to_coloring,
+    _sign_stream,
 )
 from tourlab.errors import (
     CycleFoundError,
@@ -382,6 +386,8 @@ def test_oracle_dispatch():
     )
     K = make_ordinal_injection_tournament(FactorialBlock().equivalent_injection())
     assert isinstance(infiniteness_oracle_for(K), FiniteBelowOracle)
+    # the block tournament is read as its value order, not scanned pair by pair
+    assert isinstance(infiniteness_oracle_for(FactorialBlock()), FiniteBelowOracle)
     assert isinstance(infiniteness_oracle_for(SeededRandom(0)), AlwaysInfiniteOracle)
 
 
@@ -395,6 +401,144 @@ def test_classify_signs():
     for K, expect in cases:
         signs = classify_vertices(K, infiniteness_oracle_for(K), 10)
         assert "".join(signs.signs) == expect, K.name
+
+
+def _signs_reference(oracle, n):
+    """The from-scratch sign recursion: every vertex decides the whole
+    signed prefix again."""
+    constraints = []
+    for u in range(n):
+        s = "+" if oracle.decide(constraints + [(u, "+")]) else "-"
+        constraints.append((u, s))
+    return "".join(s for _, s in constraints)
+
+
+def _shipped_tournaments(tmp_path):
+    tail = tmp_path / "factorial-tail.txt"
+    tail.write_text("tail factorial\n")
+    return [
+        TransitiveOmega(),
+        TransitiveOmegaStar(),
+        SplitTransitive(),
+        FactorialBlock(),
+        tournament_from_name(f"injection:{tail}"),
+        make_ordinal_injection_tournament(identity_injection()),
+        SeededRandom(4),
+    ]
+
+
+def test_sign_recursion_matches_reference(tmp_path):
+    for K in _shipped_tournaments(tmp_path):
+        oracle = infiniteness_oracle_for(K)
+        want = _signs_reference(oracle, 300)
+        got = "".join(s for _, s in zip(range(300), _sign_stream(oracle)))
+        assert got == want, K.name
+        assert "".join(classify_vertices(K, oracle, 300).signs) == want, K.name
+
+
+class _TableOracle(InfinitenessOracle):
+    """A conjunctive oracle read from a table of (admits '-', admits '+')
+    per vertex, cycled; its signs may switch class midway."""
+
+    classes = ("+", "-")
+
+    def __init__(self, table):
+        self.table = table
+
+    def admits(self, v, s):
+        return self.table[v % len(self.table)][s == "+"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=40))
+def test_sign_recursion_matches_reference_on_any_conjunction(table):
+    oracle = _TableOracle(table)
+    got = "".join(s for _, s in zip(range(120), _sign_stream(oracle)))
+    assert got == _signs_reference(oracle, 120)
+
+
+CURSOR_ORACLES = [
+    infiniteness_oracle_for(TransitiveOmega()),
+    infiniteness_oracle_for(TransitiveOmegaStar()),
+    infiniteness_oracle_for(SplitTransitive()),
+    infiniteness_oracle_for(FactorialBlock()),
+    infiniteness_oracle_for(make_ordinal_injection_tournament(identity_injection())),
+    infiniteness_oracle_for(SeededRandom(9)),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    oracle=st.sampled_from(CURSOR_ORACLES),
+    anchors=st.lists(
+        st.tuples(st.integers(0, 60), st.booleans()),
+        max_size=5,
+        unique_by=lambda a: a[0],
+    ),
+    exclusions=st.sets(st.integers(0, 200), max_size=30),
+    start=st.integers(0, 150),
+    count=st.integers(1, 6),
+    klass=st.sampled_from("+-"),
+)
+def test_scan_cursor_equals_excluding_the_prefix(
+    oracle, anchors, exclusions, start, count, klass
+):
+    # a constraint follows its anchor's sign class unless the draw flips it
+    flip = {"+": "-", "-": "+"}
+    constraints = [
+        (v, oracle.sign_class(v) if keep else flip[oracle.sign_class(v)])
+        for v, keep in anchors
+    ]
+    got = oracle.enumerate_in_class(constraints, exclusions, count, klass, start=start)
+    want = oracle.enumerate_in_class(
+        constraints, exclusions | set(range(start)), count, klass
+    )
+    assert got == want
+
+
+def _counting(oracle_cls):
+    """oracle_cls with a count of per-constraint checks and of the
+    candidates its scans look at (each is tested once against the
+    exclusions)."""
+
+    class Counting(oracle_cls):
+        work = 0
+
+        def admits(self, v, s):
+            self.work += 1
+            return super().admits(v, s)
+
+        def enumerate_in_class(self, constraints, exclusions, count, klass, start=0):
+            oracle = self
+
+            class Seen:
+                def __contains__(self, w):
+                    oracle.work += 1
+                    return w in exclusions
+
+            return super().enumerate_in_class(
+                constraints, Seen(), count, klass, start=start
+            )
+
+    return Counting
+
+
+@pytest.mark.parametrize(
+    "K, oracle",
+    [
+        (SplitTransitive(), _counting(SplitTransitiveOracle)()),
+        (SeededRandom(5), _counting(AlwaysInfiniteOracle)(SeededRandom(5))),
+    ],
+    ids=["split", "random"],
+)
+def test_spanning_oracle_work_is_linear_in_the_horizon(K, oracle):
+    # 12 (split) and 18 (random) checks per vertex here; re-deciding the
+    # signed prefix or rescanning from vertex 0 on every step makes
+    # millions at this horizon
+    horizon = 3600
+    res = spanning_embed(anti_path(), K, oracle=oracle, horizon=horizon)
+    assert all(res.phi.has_target(k) for k in range(horizon))
+    assert oracle.work <= 40 * horizon
 
 
 def test_classify_detects_lying_oracle():
@@ -469,6 +613,30 @@ def test_spanning_components_do_not_mix():
     for m in res.machines:
         stars = {v // 3 for c in m.cells.cells for v in c}
         assert len(stars) == 1
+
+
+def _anti_paths(k, L):
+    """k disjoint finite anti-paths of L vertices each."""
+    edges = [
+        (c * L + v, c * L + w)
+        for c in range(k)
+        for v in range(0, L, 2)
+        for w in (v - 1, v + 1)
+        if 0 <= w < L
+    ]
+    return FiniteOrientedGraph(k * L, edges)
+
+
+def test_spanning_machine_rotation():
+    # four long components keep four machines running at once, so the
+    # rotation alone decides which one covers each vertex
+    G = _anti_paths(4, 60)
+    res = spanning_embed(G, TransitiveOmega(), horizon=150)
+    assert all(res.phi.has_target(k) for k in range(150))
+    assert res.phi.is_valid(G)
+    assert [s.machine for s in res.steps] == (
+        [0, 0, 1, 1, 0, 2, 0, 1, 3, 1, 2, 3] + [0, 1, 2, 3] * 4 + [0]
+    )
 
 
 def test_spanning_finite_capacity():
