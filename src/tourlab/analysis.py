@@ -1,4 +1,4 @@
-"""Structural analysis: acyclicity, reachability closures, ranks, and the
+"""Structural analysis: acyclicity, reachability closures, and the
 unavoidability classifier.
 
 Everything here works on either a FiniteOrientedGraph or a PresentedGraph;
@@ -8,11 +8,11 @@ cannot settle come back as 'inconclusive' rather than a guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .core import FiniteOrientedGraph, PresentedGraph
-from .errors import BudgetExhaustedError, CycleFoundError
+from .errors import BudgetExhaustedError
 
 Graph = Union[FiniteOrientedGraph, PresentedGraph]
 
@@ -42,24 +42,6 @@ class Classification:
     verdict: str
     witness: Optional[tuple[str, object]] = None
     reason: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class RankFunction:
-    """Height of each vertex over the in-degree-0 sources.
-
-    h(x) = 0 exactly when x has in-degree 0; otherwise h(x) is one more
-    than the largest height among in-neighbors, so every edge (u, v) has
-    h(u) < h(v).
-    """
-
-    heights: dict[int, int]
-
-    def level(self, v: int) -> int:
-        return self.heights[v]
-
-    def max_height(self) -> int:
-        return max(self.heights.values(), default=-1)
 
 
 def is_acyclic(G: FiniteOrientedGraph) -> tuple[bool, Optional[list[int]]]:
@@ -111,29 +93,6 @@ def _find_cycle(adj: Mapping[int, Sequence[int]]) -> Optional[list[int]]:
     return cycle
 
 
-def transitive_closure(G: FiniteOrientedGraph) -> FiniteOrientedGraph:
-    """All pairs (u, v), u != v, with a directed path from u to v.
-
-    Raises CycleFoundError (with a cycle witness) on cyclic input, since
-    the closure of a cyclic oriented graph is not loop-free.
-    """
-    ok, cycle = is_acyclic(G)
-    if not ok:
-        raise CycleFoundError("graph has a directed cycle", cycle)
-    edges = []
-    for s in G.vertices:
-        seen = {s}
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in G.out_neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        edges.extend((s, t) for t in seen if t != s)
-    return FiniteOrientedGraph(G.n, edges, name=f"closure({G.name})")
-
-
 def gamma(
     G: Graph, v: int, direction: str, budget: int = DEFAULT_BUDGET
 ) -> ClosureResult:
@@ -168,28 +127,6 @@ def gamma(
                 members.add(w)
                 frontier.append(w)
     return ClosureResult(v, direction, frozenset(members), spent)
-
-
-def rank(G: FiniteOrientedGraph) -> RankFunction:
-    """Heights over sources; requires acyclic input."""
-    ok, cycle = is_acyclic(G)
-    if not ok:
-        raise CycleFoundError("rank needs an acyclic graph", cycle)
-    heights: dict[int, int] = {}
-    # process in topological order via repeated source peeling
-    indeg = {v: len(G.in_neighbors(v)) for v in G.vertices}
-    queue = [v for v in G.vertices if indeg[v] == 0]
-    i = 0
-    while i < len(queue):
-        v = queue[i]
-        i += 1
-        ins = G.in_neighbors(v)
-        heights[v] = 0 if not ins else 1 + max(heights[u] for u in ins)
-        for w in G.out_neighbors(v):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return RankFunction(heights)
 
 
 class _ClosureWalk:

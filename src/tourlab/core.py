@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -64,13 +64,6 @@ class OrdinalValue:
             raise ValueError("ordinal components must be non-negative")
 
 
-def ordinal_compare(a: OrdinalValue, b: OrdinalValue) -> int:
-    """Three-way comparison of ordinal values: -1, 0, or +1."""
-    if a == b:
-        return 0
-    return -1 if a < b else 1
-
-
 class InjectionSpec:
     """An injection from the naturals into ordinal values below omega*omega.
 
@@ -83,6 +76,10 @@ class InjectionSpec:
     indices mapped strictly below it (true for schemes whose value intervals
     march upward); the infiniteness oracle for the induced tournament relies
     on this flag.
+
+    `inversions_closed_form(n)` is None here: a prefix count needs the
+    values.  The injection of a catalogue block scheme overrides it with
+    the count read off the scheme's run layout.
     """
 
     def __init__(
@@ -114,6 +111,14 @@ class InjectionSpec:
 
     def values(self, n: int) -> list[OrdinalValue]:
         return [self.eval(i) for i in range(n)]
+
+    def inversions_closed_form(self, n: int) -> Optional[int]:
+        """Closed-form count of the pairs i < j < n with f(i) > f(j).
+
+        Returns None when no closed form is available; callers then rank
+        and count the values.
+        """
+        return None
 
     def __repr__(self):
         return f"InjectionSpec({self.description or 'anonymous'})"
@@ -418,6 +423,9 @@ class OrdinalInjectionTournament(TournamentOracle):
     def _orient_lt(self, i, j):
         fi, fj = self.injection.eval(i), self.injection.eval(j)
         return Direction.FORWARD if fi > fj else Direction.BACKWARD
+
+    def forward_pairs_upto(self, n):
+        return self.injection.inversions_closed_form(n)
 
 
 def make_ordinal_injection_tournament(f: InjectionSpec) -> OrdinalInjectionTournament:

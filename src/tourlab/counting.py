@@ -100,10 +100,7 @@ def inversion_prefix(f: InjectionSpec, n: int) -> np.ndarray:
 
 def inversions_upto(f: InjectionSpec, n: int) -> int:
     """Number of inverted pairs among the first n arguments of f."""
-    if n < 2:
-        return 0
-    ranks = ranks_of_values(f.values(n))
-    return int(prior_greater_counts(ranks).sum())
+    return int(inversion_prefix(f, n)[-1]) if n >= 2 else 0
 
 
 def inversions_brute(f: InjectionSpec, n: int) -> int:

@@ -3,6 +3,9 @@
 The through-line of the module: a tournament induced by an ordinal
 injection has its forward pairs exactly at the injection's inversions, so
 prefix densities of injection tournaments reduce to inversion counting.
+One dispatch decides how every prefix count is made: a closed form when
+the tournament has one, the counting kernel for other injection
+tournaments, and a sum of forward rows otherwise.
 Rank decomposition runs the reduction the other way: it extracts an
 injection from an arbitrary finite prefix whose induced tournament
 dominates the prefix pairwise.
@@ -13,8 +16,10 @@ of indices whose values form one arithmetic progression inside a single
 gap of every earlier value.  Inside a run the inversion count is a
 quadratic in the prefix length, so scalar values, prefix ranks, counts
 and exact window minima all come from the layout in closed form, with no
-counting kernel; a window up to 10^12 takes milliseconds.  The optimizer
-searches that catalogue for a high minimum prefix density over a window.
+counting kernel; a window up to 10^12 takes milliseconds.  A scheme's
+injection keeps its layout, so the tournament induced by it counts its
+forward pairs in closed form too.  The optimizer searches that catalogue
+for a high minimum prefix density over a window.
 
 Densities are exact rationals and counts Python integers end to end.
 Only window minima are ever reported; no limiting claim is attached to
@@ -38,7 +43,7 @@ from .core import (
     OrdinalValue,
     TournamentOracle,
 )
-from .counting import inversion_prefix, inversions_upto
+from .counting import inversion_prefix
 from .errors import SchemeError
 
 __all__ = [
@@ -99,44 +104,44 @@ def _sample_points(n_max: int, stride: int) -> list[int]:
     return pts
 
 
+def _forward_counts(K: TournamentOracle, points: list[int]) -> list[int]:
+    """Forward pairs of K inside each prefix in `points` (ascending, each
+    at least 2).
+
+    The one place that decides how to count: the family's closed form when
+    it has one (an injection tournament on a catalogue scheme reads its
+    run layout), the inversion kernel for any other injection tournament,
+    and forward rows summed up to the last point otherwise.
+    """
+    if K.forward_pairs_upto(2) is not None:
+        return [int(K.forward_pairs_upto(m)) for m in points]
+    if isinstance(K, OrdinalInjectionTournament):
+        cum = inversion_prefix(K.injection, points[-1])
+        return [int(cum[m - 2]) for m in points]
+    counts, total, prev = [], 0, 1
+    for m in points:
+        total += sum(int(K.forward_row(j).sum()) for j in range(prev, m))
+        counts.append(total)
+        prev = m
+    return counts
+
+
 def forward_pair_count(K: TournamentOracle, n: int) -> int:
     """Number of forward pairs (i, j), i < j < n, of K.
 
-    Uses the family's closed form when there is one, the inversion kernel
-    for injection-induced tournaments, and a row accumulation otherwise.
+    Uses the family's closed form when there is one, including an
+    injection tournament built on a catalogue scheme; the inversion kernel
+    for other injection-induced tournaments; a row accumulation otherwise.
     """
     if n < 2:
         raise ValueError("a pair count needs at least two vertices")
-    closed = K.forward_pairs_upto(n)
-    if closed is not None:
-        return int(closed)
-    if isinstance(K, OrdinalInjectionTournament):
-        return inversions_upto(K.injection, n)
-    return sum(int(K.forward_row(j).sum()) for j in range(1, n))
+    return _forward_counts(K, [n])[0]
 
 
 def density_profile(K: TournamentOracle, n_max: int, stride: int = 1) -> DensityProfile:
     """Densities of K at every stride multiple in [2, n_max], plus n_max."""
     pts = _sample_points(n_max, stride)
-    if K.forward_pairs_upto(2) is not None:
-        entries = [_entry(m, int(K.forward_pairs_upto(m))) for m in pts]
-        return DensityProfile(K.name, tuple(entries))
-    if isinstance(K, OrdinalInjectionTournament):
-        cum = inversion_prefix(K.injection, n_max)
-        entries = [_entry(m, int(cum[m - 2])) for m in pts]
-        return DensityProfile(K.name, tuple(entries))
-    entries = []
-    total = 0
-    want = iter(pts)
-    nxt = next(want)
-    for j in range(1, n_max):
-        total += int(K.forward_row(j).sum())
-        if j + 1 == nxt:
-            entries.append(_entry(j + 1, total))
-            nxt = next(want, None)
-            if nxt is None:
-                break
-    return DensityProfile(K.name, tuple(entries))
+    return DensityProfile(K.name, tuple(map(_entry, pts, _forward_counts(K, pts))))
 
 
 def inversion_count(f: InjectionSpec, n: int) -> int:
@@ -147,27 +152,17 @@ def inversion_count(f: InjectionSpec, n: int) -> int:
     """
     if n < 0:
         raise ValueError("prefix length must be non-negative")
-    return inversions_upto(f, n)
+    return _forward_counts(OrdinalInjectionTournament(f), [n])[0] if n >= 2 else 0
 
 
 def inversion_density_profile(
     f: Union[InjectionSpec, BlockScheme], n_max: int, stride: int = 1
 ) -> DensityProfile:
-    """Inversion densities of f at stride multiples up to n_max.
-
-    Equals the density profile of the tournament induced by f, entry by
-    entry, as exact rationals.  A catalogue scheme reads its counts off
-    its run layout; any other injection is ranked and counted.
-    """
+    """Inversion densities of f at stride multiples up to n_max: the
+    density profile of the tournament induced by f, entry by entry."""
+    K = OrdinalInjectionTournament(f.injection if isinstance(f, BlockScheme) else f)
     pts = _sample_points(n_max, stride)
-    if isinstance(f, BlockScheme):
-        counts = [f.inversions(m) for m in pts]
-        f = f.injection
-    else:
-        cum = inversion_prefix(f, n_max)
-        counts = [int(cum[m - 2]) for m in pts]
-    name = f"injection:{f.description or 'anonymous'}"
-    return DensityProfile(name, tuple(_entry(m, c) for m, c in zip(pts, counts)))
+    return DensityProfile(K.name, tuple(map(_entry, pts, _forward_counts(K, pts))))
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +192,6 @@ class RankDecomposition:
         return [int(c) for c in counts]
 
 
-def _forward_matrix(K: TournamentOracle, n: int) -> np.ndarray:
-    F = np.zeros((n, n), dtype=bool)
-    for j in range(1, n):
-        F[:j, j] = K.forward_row(j)
-    return F
-
-
 def rank_decompose(K: TournamentOracle, n: int) -> RankDecomposition:
     """Decompose the prefix [n] of K into forward-out-neighbor levels.
 
@@ -215,12 +203,12 @@ def rank_decompose(K: TournamentOracle, n: int) -> RankDecomposition:
     """
     if n < 1:
         raise ValueError("cannot decompose an empty prefix")
-    F = _forward_matrix(K, n)
     alpha = np.zeros(n, dtype=np.int64)
-    for i in range(n - 2, -1, -1):
-        row = F[i, i + 1 :]
-        if row.any():
-            alpha[i] = int(alpha[i + 1 :][row].max()) + 1
+    # downward sweep: by the time j is reached, every larger index has
+    # raised its forward in-neighbours above itself, so alpha[j] is final
+    for j in range(n - 1, 0, -1):
+        head = alpha[:j]
+        np.maximum(head, np.where(K.forward_row(j), alpha[j] + 1, 0), out=head)
     levels = int(alpha.max()) + 1
     frozen = alpha.copy()
     frozen.setflags(write=False)
@@ -488,13 +476,25 @@ def _fmt_param(v) -> str:
     return str(v)
 
 
+class _SchemeInjection(InjectionSpec):
+    """A scheme's injection: values and prefix inversion counts both read
+    off the run layout, so a tournament built on it counts in closed form."""
+
+    def __init__(self, layout: _Layout, description: str):
+        super().__init__(
+            lambda i: OrdinalValue(0, layout.value(i)),
+            description=description,
+            finite_below=True,
+        )
+        self._layout = layout
+
+    def inversions_closed_form(self, n: int) -> int:
+        return self._layout.inversions(n)
+
+
 def _scheme(pattern: str, params: dict, description: str, runs: Iterator[_Run]) -> BlockScheme:
     layout = _Layout(runs)
-    inj = InjectionSpec(
-        lambda i: OrdinalValue(0, layout.value(i)),
-        description=description,
-        finite_below=True,
-    )
+    inj = _SchemeInjection(layout, description)
     return BlockScheme(pattern=pattern, params=params, injection=inj, _layout=layout)
 
 

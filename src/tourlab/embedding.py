@@ -279,22 +279,7 @@ def check_pm_partition(G: Graph, p: PMPartition) -> list[str]:
     return problems
 
 
-# ---------------------------------------------------------------- coloring
-
-
-def tournament_to_coloring(
-    K: TournamentOracle, order: Sequence[int]
-) -> dict[tuple[int, int], str]:
-    """Two-color the pairs of the listed vertices: 'red' when the K-edge
-    agrees with the listed order, 'blue' when it opposes it."""
-    if len(set(order)) != len(order):
-        raise ValueError("vertex list must not repeat")
-    colors = {}
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            u, v = order[a], order[b]
-            colors[(u, v)] = "red" if K.has_edge(u, v) else "blue"
-    return colors
+# --------------------------------------------------- transitive extraction
 
 
 def find_transitive_subtournament(

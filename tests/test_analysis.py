@@ -1,4 +1,4 @@
-"""Acyclicity, closures, ranks, and the unavoidability classifier."""
+"""Acyclicity, closures, and the unavoidability classifier."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from tourlab.analysis import (
     classify_unavoidability,
     gamma,
     is_acyclic,
-    rank,
-    transitive_closure,
 )
 from tourlab.core import (
     FiniteOrientedGraph,
@@ -23,15 +21,11 @@ from tourlab.core import (
     out_stars,
     random_presented,
 )
-from tourlab.errors import BudgetExhaustedError, CycleFoundError
+from tourlab.errors import BudgetExhaustedError
 
 
 def triangle():
     return FiniteOrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
-
-
-def diamond():
-    return FiniteOrientedGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 
 
 def random_dag(seed, n=50, p=0.15):
@@ -87,39 +81,6 @@ def test_embedded_long_cycle_found():
     _assert_cycle_valid(G, cycle)
 
 
-# ------------------------------------------------------ transitive closure
-
-
-def test_closure_path_adds_long_edge():
-    G = FiniteOrientedGraph(3, [(0, 1), (1, 2)])
-    H = transitive_closure(G)
-    assert H.edges == {(0, 1), (1, 2), (0, 2)}
-
-
-def test_closure_edgeless_identity():
-    G = FiniteOrientedGraph(5, [])
-    assert transitive_closure(G).edges == frozenset()
-
-
-def test_closure_diamond():
-    H = transitive_closure(diamond())
-    assert H.edges == {(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)}
-
-
-def test_closure_rejects_cycle():
-    with pytest.raises(CycleFoundError) as e:
-        transitive_closure(triangle())
-    _assert_cycle_valid(triangle(), e.value.cycle)
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=15)
-def test_closure_idempotent(seed):
-    G = random_dag(seed, n=25)
-    H = transitive_closure(G)
-    assert transitive_closure(H).edges == H.edges
-
-
 # ------------------------------------------------------------------ gamma
 
 
@@ -164,42 +125,6 @@ def test_gamma_alternation_covers_weakly_connected_graph():
             break
         reach = grown
     assert reach == comp
-
-
-# ------------------------------------------------------------------- rank
-
-
-def test_rank_examples():
-    r = rank(FiniteOrientedGraph(2, [(0, 1)]))
-    assert r.level(0) == 0 and r.level(1) == 1
-    r = rank(FiniteOrientedGraph(3, [(0, 1), (1, 2)]))
-    assert [r.level(v) for v in range(3)] == [0, 1, 2]
-    assert rank(diamond()).level(3) == 2
-
-
-def test_rank_rejects_cycle():
-    with pytest.raises(CycleFoundError):
-        rank(triangle())
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=25)
-def test_rank_invariants(seed):
-    G = random_dag(seed, n=30)
-    r = rank(G)
-    for v in G.vertices:
-        ins = G.in_neighbors(v)
-        if not ins:
-            assert r.level(v) == 0
-        else:
-            assert r.level(v) == 1 + max(r.level(u) for u in ins)
-    for (u, v) in G.edges:
-        assert r.level(u) < r.level(v)
-    # sorting by (height, index) is a topological order
-    order = sorted(G.vertices, key=lambda v: (r.level(v), v))
-    pos = {v: k for k, v in enumerate(order)}
-    for (u, v) in G.edges:
-        assert pos[u] < pos[v]
 
 
 # -------------------------------------------------------------- classifier

@@ -45,14 +45,6 @@ from tourlab.errors import (
 # ---------------------------------------------------------------- ordinals
 
 
-def test_ordinal_compare_examples():
-    from tourlab.core import ordinal_compare
-
-    assert ordinal_compare(OrdinalValue(0, 3), OrdinalValue(0, 7)) == -1
-    assert ordinal_compare(OrdinalValue(2, 0), OrdinalValue(1, 999)) == 1
-    assert ordinal_compare(OrdinalValue(1, 5), OrdinalValue(1, 5)) == 0
-
-
 @given(
     st.tuples(st.integers(0, 50), st.integers(0, 50)),
     st.tuples(st.integers(0, 50), st.integers(0, 50)),
@@ -412,3 +404,15 @@ def test_exact_density():
     assert exact_density(3, 4) == Fraction(1, 2)
     with pytest.raises(ValueError):
         exact_density(0, 1)
+
+
+# ---------------------------------------------------------- package exports
+
+
+def test_package_exports_resolve_once():
+    # a name deleted from its module must not linger in __all__
+    import tourlab
+
+    assert len(tourlab.__all__) == len(set(tourlab.__all__))
+    missing = [name for name in tourlab.__all__ if not hasattr(tourlab, name)]
+    assert missing == []

@@ -1,6 +1,7 @@
 """Density profiles, rank decompositions, and block-scheme search."""
 
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +202,18 @@ def test_rank_decompose_matches_direct_recursion(seed, n):
     assert d.levels == max(recompute_levels(K, n)) + 1
     assert sum(d.level_sizes()) == n
     assert dominance_check(K, d, n)
+
+
+def test_rank_decompose_memory_is_linear():
+    # the n x n forward matrix alone would take about 95 MB here
+    tracemalloc.start()
+    try:
+        d = rank_decompose(TransitiveOmega(), 10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d.levels == 10_000
+    assert peak < 10 * 2 ** 20
 
 
 def test_decomposition_levels_are_tight():
@@ -493,10 +506,35 @@ def test_layout_counts_match_kernel(pattern, kw):
 
 
 def test_scheme_profile_matches_injection_profile():
+    # the right-hand side sums forward rows of an opaque copy of the
+    # injection, so it shares no code with the scheme's run layout
     s = make_block_scheme("paired-high-low", r=1.5, L0=5)
-    assert inversion_density_profile(s, 3000, stride=7) == inversion_density_profile(
-        s.injection, 3000, stride=7
+    via_layout = inversion_density_profile(s, 3000, stride=7)
+    via_rows = density_profile(OpaqueInjectionTournament(s.injection), 3000, stride=7)
+    assert via_layout.entries == via_rows.entries
+
+
+def _forbid_value_counting(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("values were materialized or ranked and counted")
+
+    monkeypatch.setattr(counting, "prior_greater_counts", forbidden)
+    monkeypatch.setattr(density, "prior_greater_counts", forbidden, raising=False)
+    monkeypatch.setattr(InjectionSpec, "values", forbidden)
+
+
+def test_scheme_injection_tournament_counts_in_closed_form(monkeypatch):
+    _forbid_value_counting(monkeypatch)
+    s = make_block_scheme("nested-dip", r=2, q=0.9, L0=16)
+    via_tournament = density_profile(
+        OrdinalInjectionTournament(s.injection), 100_000, stride=100
     )
+    via_scheme = inversion_density_profile(s, 100_000, stride=100)
+    assert via_tournament.entries == via_scheme.entries
+    # FactorialBlock's block loop is a closed form independent of the layout
+    K = OrdinalInjectionTournament(factorial_scheme().injection)
+    for n in (2, 7, 1000, 10 ** 6, 10 ** 12):
+        assert forward_pair_count(K, n) == forward_pair_count(FactorialBlock(), n)
 
 
 def test_cycles_that_do_not_fit_raise(monkeypatch):
@@ -510,12 +548,7 @@ def test_cycles_that_do_not_fit_raise(monkeypatch):
 
 
 def test_optimizer_needs_no_counting_kernel(monkeypatch):
-    def no_kernel(ranks):
-        raise AssertionError("the counting kernel ran on the density search path")
-
-    monkeypatch.setattr(counting, "prior_greater_counts", no_kernel)
-    monkeypatch.setattr(density, "prior_greater_counts", no_kernel, raising=False)
-    monkeypatch.setattr(InjectionSpec, "values", no_kernel)
+    _forbid_value_counting(monkeypatch)
     scheme, report = optimize_scheme(BLOCK_PATTERNS, 10 ** 6, window=(10 ** 3, 10 ** 6))
     assert report.identifier == "nested-dip(L0=256,q=0.97,r=12.5)"
     assert report.min_window_density == Fraction(243998423, 248015625)

@@ -36,7 +36,6 @@ from tourlab.embedding import (
     infiniteness_oracle_for,
     pm_partition,
     spanning_embed,
-    tournament_to_coloring,
     _sign_stream,
 )
 from tourlab.errors import (
@@ -228,29 +227,6 @@ def test_checker_catches_distant_edge():
         [frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3})], "pm"
     )
     assert any(x.startswith("A2") for x in check_pm_partition(G, bad))
-
-
-# ---------------------------------------------------------------- coloring
-
-
-def test_coloring_on_upward_order():
-    colors = tournament_to_coloring(TransitiveOmega(), [2, 0, 1])
-    assert colors == {(2, 0): "blue", (2, 1): "blue", (0, 1): "red"}
-
-
-def test_coloring_rejects_repeats():
-    with pytest.raises(ValueError):
-        tournament_to_coloring(TransitiveOmega(), [1, 1])
-
-
-def test_coloring_counts():
-    K = SeededRandom(3)
-    order = list(range(10))
-    colors = tournament_to_coloring(K, order)
-    assert len(colors) == 45
-    red = sum(1 for c in colors.values() if c == "red")
-    fwd = sum(1 for i in range(10) for j in range(i + 1, 10) if K.has_edge(i, j))
-    assert red == fwd
 
 
 # ----------------------------------------------------- transitive extraction
