@@ -1,4 +1,5 @@
-"""Core types: tournament oracles, ordinal values, and oriented graphs.
+"""Core types: tournament oracles, ordinal values and injections, run
+layouts, and oriented graphs.
 
 Vertices are 0-based integers internally; command-line interfaces translate
 to and from 1-based labels at the boundary.  A tournament on the naturals is
@@ -9,6 +10,7 @@ structures never need to be materialized.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -21,6 +23,7 @@ from .errors import (
     GraphFormatError,
     LoopQueryError,
     MalformedInjectionError,
+    SchemeError,
 )
 
 VertexId = int
@@ -72,25 +75,21 @@ class InjectionSpec:
     distinct indices are observed to share a value, MalformedInjectionError
     is raised.
 
-    finite_below=True asserts that every value has only finitely many
-    indices mapped strictly below it (true for schemes whose value intervals
-    march upward); the infiniteness oracle for the induced tournament relies
-    on this flag.
+    `finite_below` says whether every value has only finitely many indices
+    mapped strictly below it; the infiniteness oracle for the induced
+    tournament relies on it.  A general map makes no such promise, so it is
+    False here and True on the injection read off a run layout.
 
     `inversions_closed_form(n)` is None here: a prefix count needs the
-    values.  The injection of a catalogue block scheme overrides it with
-    the count read off the scheme's run layout.
+    values.  A layout-backed injection overrides it with the count read off
+    its runs.
     """
 
-    def __init__(
-        self,
-        eval_fn: Callable[[int], OrdinalValue],
-        description: str = "",
-        finite_below: bool = False,
-    ):
+    finite_below = False
+
+    def __init__(self, eval_fn: Callable[[int], OrdinalValue], description: str = ""):
         self._eval_fn = eval_fn
         self.description = description
-        self.finite_below = finite_below
         self._cache: dict[int, OrdinalValue] = {}
         self._seen: dict[OrdinalValue, int] = {}
 
@@ -124,11 +123,206 @@ class InjectionSpec:
         return f"InjectionSpec({self.description or 'anonymous'})"
 
 
+# ---------------------------------------------------------------------------
+# run layouts
+
+
+@dataclass(frozen=True)
+class _Run:
+    """Consecutive indices whose values form one arithmetic progression
+    lying inside a single gap of every earlier value.
+
+    `above` (G) counts the earlier entries above every member, so the
+    member at offset s has G + s earlier entries above it when the run
+    descends and G when it ascends.  `length` is math.inf for an
+    unbounded run; `joins` marks a run that continues the block of the
+    run before.
+    """
+
+    start: int
+    length: int | float
+    descending: bool
+    above: int
+    first: int  # value of the member at offset 0
+    step: int
+    joins: bool = False
+
+    def value(self, s: int) -> int:
+        return self.first - s * self.step if self.descending else self.first + s * self.step
+
+    def gained(self, t: int) -> int:
+        """Inversions that the first t members add to the prefix before them."""
+        return self.above * t + (t * (t - 1) // 2 if self.descending else 0)
+
+    def candidates(self, inv0: int, a: int, b: int) -> list[int]:
+        """The prefix lengths in [a, b] where the run can put its minimum
+        density: both ends and the integers next to each real root of the
+        density's derivative.
+
+        With t = n - start, 2A(n) = 2(inv0 + gained(t)) is a quadratic
+        alpha*n^2 + beta*n + gamma, and the derivative of 2A / (n^2 - n)
+        has the sign of D(n) = -(alpha + beta)*n^2 - 2*gamma*n + gamma, so
+        the density is monotone between the roots of D.
+        """
+        P, G = self.start, self.above
+        if self.descending:
+            alpha, beta, gamma = 1, 2 * G - 2 * P - 1, 2 * inv0 - 2 * G * P + P * P + P
+        else:
+            alpha, beta, gamma = 0, 2 * G, 2 * inv0 - 2 * G * P
+        c2, c1, c0 = -(alpha + beta), -2 * gamma, gamma
+        floors = []
+        if c2:
+            disc = c1 * c1 - 4 * c2 * c0
+            if disc >= 0:
+                # isqrt is off by less than 1, so each root lies within 1/2
+                # of its value with isqrt(disc) in place of sqrt(disc)
+                s = math.isqrt(disc)
+                floors = [(-c1 + d) // (2 * c2) for d in (-s, s)]
+        elif c1:
+            floors = [-c0 // c1]
+        near = {m + k for m in floors for k in (-1, 0, 1, 2)}
+        return sorted({a, b} | {m for m in near if a <= m <= b})
+
+
+class _Layout:
+    """Runs in index order, extended lazily, with the inversion count of
+    the prefix that ends where each run starts."""
+
+    def __init__(self, runs: Iterator[_Run]):
+        self._source = runs
+        self.runs: list[_Run] = []
+        self.starts: list[int] = []
+        self.inv: list[int] = []
+        self._failure: Optional[SchemeError] = None  # ends the source for good
+
+    def _extend(self) -> None:
+        if self._failure is not None:
+            raise self._failure
+        try:
+            run = next(self._source)
+        except SchemeError as err:
+            self._failure = err
+            raise
+        inv0 = 0
+        if self.runs:
+            last = self.runs[-1]
+            inv0 = self.inv[-1] + last.gained(last.length)
+        self.runs.append(run)
+        self.starts.append(run.start)
+        self.inv.append(inv0)
+
+    def cover(self, n: int) -> int:
+        """Extend until the runs hold the first n >= 1 indices; return the
+        position of the run holding index n - 1."""
+        while not self.runs or self.runs[-1].start + self.runs[-1].length < n:
+            self._extend()
+        return bisect.bisect_right(self.starts, n - 1) - 1
+
+    def iter_runs(self) -> Iterator[_Run]:
+        k = 0
+        while True:
+            if k == len(self.runs):
+                self._extend()
+            yield self.runs[k]
+            k += 1
+
+    def value(self, i: int) -> int:
+        run = self.runs[self.cover(i + 1)]
+        return run.value(i - run.start)
+
+    def inversions(self, n: int) -> int:
+        if n < 2:
+            return 0
+        k = self.cover(n)
+        return self.inv[k] + self.runs[k].gained(n - self.starts[k])
+
+    def ranks(self, n: int) -> np.ndarray:
+        if n == 0:
+            return np.zeros(0, dtype=np.int64)
+        last = self.cover(n)
+        # index ranges in descending value order; each run enters as one
+        # range right under the `above` earlier entries that outrank it
+        order: list[tuple[int, int, bool]] = []
+        for run in self.runs[: last + 1]:
+            hi = min(n, run.start + run.length)
+            order.insert(_split_after(order, run.above), (run.start, hi, run.descending))
+        pos = np.concatenate(
+            [np.arange(lo, hi) if desc else np.arange(hi - 1, lo - 1, -1)
+             for lo, hi, desc in order]
+        )
+        ranks = np.empty(n, dtype=np.int64)
+        ranks[pos] = np.arange(n - 1, -1, -1, dtype=np.int64)
+        return ranks
+
+    def window_min(self, n_lo: int, n_hi: int) -> tuple[Fraction, int]:
+        # run k holds the prefix lengths start+1 .. start+length
+        first, last = self.cover(n_lo), self.cover(n_hi)
+        best_num, best_den, best_n = 1, 0, -1
+        for run, inv0 in zip(self.runs[first : last + 1], self.inv[first : last + 1]):
+            a = max(n_lo, run.start + 1)
+            b = min(n_hi, run.start + run.length)
+            for n in run.candidates(inv0, a, b):
+                num = inv0 + run.gained(n - run.start)
+                den = n * (n - 1) // 2
+                if best_n < 0 or num * best_den < best_num * den:
+                    best_num, best_den, best_n = num, den, n
+        return Fraction(best_num, best_den), best_n
+
+
+def _split_after(order: list[tuple[int, int, bool]], m: int) -> int:
+    """Split `order` so that a range boundary falls after its first m
+    entries, and return the position of that boundary."""
+    k = 0
+    while m > 0:
+        lo, hi, desc = order[k]
+        if hi - lo > m:
+            mid = lo + m if desc else hi - m
+            parts = [(lo, mid), (mid, hi)] if desc else [(mid, hi), (lo, mid)]
+            order[k : k + 1] = [(x, y, desc) for x, y in parts]
+        m -= min(m, hi - lo)
+        k += 1
+    return k
+
+
+def _stacked_runs(sizes: Iterator[int]) -> Iterator[_Run]:
+    """One descending run per block, each block above every older one."""
+    P = 0
+    for L in sizes:
+        yield _Run(P, L, True, 0, P + L - 1, 1)
+        P += L
+
+
+def _identity_runs() -> Iterator[_Run]:
+    """f(i) = i: one unbounded ascending run."""
+    return iter([_Run(0, math.inf, False, 0, 0, 1)])
+
+
+def _factorial_runs() -> Iterator[_Run]:
+    """Blocks [0,1), [1,2), [2,6), [6,24), ...: block k ends at k!, values
+    descend inside a block and every block sits above the older ones."""
+    sizes = (math.factorial(k) - math.factorial(k - 1) for k in itertools.count(2))
+    return _stacked_runs(itertools.chain([1], sizes))
+
+
+class _LayoutInjection(InjectionSpec):
+    """The injection i -> (0, value) read off a run layout.  Prefix
+    inversion counts come off the runs as well, so a tournament built on
+    it counts in closed form, and every down-set is finite."""
+
+    finite_below = True
+
+    def __init__(self, runs: Iterator[_Run], description: str):
+        layout = _Layout(runs)
+        super().__init__(lambda i: OrdinalValue(0, layout.value(i)), description)
+        self.layout = layout
+
+    def inversions_closed_form(self, n: int) -> int:
+        return self.layout.inversions(n)
+
+
 def identity_injection() -> InjectionSpec:
     """f(i) = (0, i); the induced tournament is a copy of the reverse chain."""
-    return InjectionSpec(
-        lambda i: OrdinalValue(0, i), description="identity", finite_below=True
-    )
+    return _LayoutInjection(_identity_runs(), "identity")
 
 
 # ---------------------------------------------------------------------------
@@ -295,69 +489,6 @@ class SplitTransitive(TournamentOracle):
         return ee + cf
 
 
-_FACTORIAL_BOUNDS = [0, 1, 2]  # boundary list: 0, then m! for m >= 1
-
-
-def _extend_factorials(limit: int) -> None:
-    while _FACTORIAL_BOUNDS[-1] <= limit:
-        m = len(_FACTORIAL_BOUNDS) - 1
-        _FACTORIAL_BOUNDS.append(math.factorial(m + 1))
-
-
-def factorial_block_interval(v: int) -> tuple[int, int]:
-    """Half-open 0-based index interval [lo, hi) of the block containing v.
-
-    Blocks are [0,1), [1,2), [2,6), [6,24), ...: consecutive runs whose
-    right endpoints are the factorials.
-    """
-    _extend_factorials(v)
-    bounds = _FACTORIAL_BOUNDS
-    k = bisect.bisect_right(bounds, v)
-    return bounds[k - 1], bounds[k]
-
-
-class FactorialBlock(TournamentOracle):
-    """Blocks of factorial width; forward inside a block, backward across."""
-
-    name = "factorial-block"
-
-    def _orient_lt(self, i, j):
-        lo, hi = factorial_block_interval(i)
-        return Direction.FORWARD if lo <= j < hi else Direction.BACKWARD
-
-    def forward_row(self, j):
-        lo, hi = factorial_block_interval(j)
-        row = np.zeros(j, dtype=bool)
-        row[lo:j] = True
-        return row
-
-    def forward_pairs_upto(self, n):
-        # whole blocks below n contribute C(width, 2); the block cut by n
-        # contributes C(n - lo, 2)
-        total = 0
-        _extend_factorials(n)
-        bounds = _FACTORIAL_BOUNDS
-        for k in range(1, len(bounds)):
-            lo, hi = bounds[k - 1], bounds[k]
-            if lo >= n:
-                break
-            w = min(hi, n) - lo
-            total += w * (w - 1) // 2
-        return total
-
-    def equivalent_injection(self) -> InjectionSpec:
-        """Value map realizing the same tournament: descending inside each
-        block, block values ascending with the block."""
-
-        def f(v: int) -> OrdinalValue:
-            lo, hi = factorial_block_interval(v)
-            return OrdinalValue(0, lo + (hi - 1) - v)
-
-        return InjectionSpec(
-            f, description="factorial-block reversal", finite_below=True
-        )
-
-
 class ExponentialThreshold(TournamentOracle):
     """Forward pairs (i, j) with j + 1 <= 2**(i + 1); density tends to one
     while every vertex keeps a finite out-neighborhood."""
@@ -428,9 +559,22 @@ class OrdinalInjectionTournament(TournamentOracle):
         return self.injection.inversions_closed_form(n)
 
 
-def make_ordinal_injection_tournament(f: InjectionSpec) -> OrdinalInjectionTournament:
-    """Wrap an injection as a tournament oracle (injectivity checked lazily)."""
-    return OrdinalInjectionTournament(f)
+class FactorialBlock(OrdinalInjectionTournament):
+    """Blocks of factorial width, [0,1), [1,2), [2,6), [6,24), ...; forward
+    inside a block, backward across.  It is the tournament induced by the
+    factorial run layout, whose values descend inside each block while the
+    blocks stack upward."""
+
+    def __init__(self):
+        super().__init__(_LayoutInjection(_factorial_runs(), "factorial-block reversal"))
+        self.name = "factorial-block"
+
+    def forward_row(self, j):
+        # forward from the start of the block (run) that holds j
+        layout = self.injection.layout
+        row = np.zeros(j, dtype=bool)
+        row[layout.runs[layout.cover(j + 1)].start :] = True
+        return row
 
 
 class TabulatedTournament(TournamentOracle):
@@ -466,11 +610,6 @@ class TabulatedTournament(TournamentOracle):
         return Direction.FORWARD if (i, j) in self._forward else Direction.BACKWARD
 
 
-def orient(K: TournamentOracle, i: int, j: int) -> Direction:
-    """Orientation of the pair {i, j} in K; errors on i == j."""
-    return K.orient(i, j)
-
-
 def tournament_from_name(
     name: str, injection_loader: Optional[Callable[[str], InjectionSpec]] = None
 ) -> TournamentOracle:
@@ -494,7 +633,7 @@ def tournament_from_name(
     if name.startswith("injection:"):
         path = name.split(":", 1)[1]
         loader = injection_loader or read_injection_file
-        return make_ordinal_injection_tournament(loader(path))
+        return OrdinalInjectionTournament(loader(path))
     raise GraphFormatError(f"unknown tournament family {name!r}")
 
 
@@ -766,8 +905,14 @@ class _RandomBlockChain:
 
 
 def random_presented(seed: int, max_block: int = 6) -> PresentedGraph:
-    """A seeded, weakly connected, acyclic presented graph with bounded
-    degrees and no infinite directed path."""
+    """A seeded acyclic presented graph with bounded degrees and no
+    infinite directed path.
+
+    It is not weakly connected in general: a block's random pairs can
+    split it, and the connector edges then join only some of its parts
+    (in random-graph:5, vertex 1 is isolated).  No component roots are
+    presented.
+    """
     chain = _RandomBlockChain(seed, max_block)
     return PresentedGraph(
         chain.adjacency,
@@ -823,11 +968,19 @@ def read_graph_file(path: str) -> FiniteOrientedGraph:
     return FiniteOrientedGraph(n, edges, name=path)
 
 
+_TAIL_RUNS = {"identity": _identity_runs, "factorial": _factorial_runs}
+
+
 def read_injection_file(path: str) -> InjectionSpec:
     """Parse an injection file: lines 'i major minor' (1-based i) overriding
-    a named tail scheme given by a line 'tail identity|factorial'."""
+    a named tail scheme given by at most one line 'tail identity|factorial'.
+
+    The tail is the run layout of that scheme, so a file without overrides
+    counts its prefix inversions in closed form.  An index given twice or a
+    second tail line is a format error.
+    """
     overrides: dict[int, OrdinalValue] = {}
-    tail_name = "identity"
+    tail_name, tail_line = "identity", None
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -837,7 +990,11 @@ def read_injection_file(path: str) -> InjectionSpec:
             if parts[0] == "tail":
                 if len(parts) != 2:
                     raise GraphFormatError(f"{path}:{ln}: bad tail line")
-                tail_name = parts[1]
+                if tail_line is not None:
+                    raise GraphFormatError(
+                        f"{path}:{ln}: second tail line (the first is line {tail_line})"
+                    )
+                tail_name, tail_line = parts[1], ln
                 continue
             if len(parts) != 3:
                 raise GraphFormatError(f"{path}:{ln}: expected 'i major minor'")
@@ -847,21 +1004,21 @@ def read_injection_file(path: str) -> InjectionSpec:
                 raise GraphFormatError(f"{path}:{ln}: bad integers") from e
             if i < 1:
                 raise GraphFormatError(f"{path}:{ln}: index must be >= 1")
+            if i - 1 in overrides:
+                raise GraphFormatError(f"{path}:{ln}: index {i} given twice")
             overrides[i - 1] = OrdinalValue(major, minor)
-    if tail_name == "identity":
-        tail = identity_injection()
-    elif tail_name == "factorial":
-        tail = FactorialBlock().equivalent_injection()
-    else:
+    if tail_name not in _TAIL_RUNS:
         raise GraphFormatError(f"{path}: unknown tail scheme {tail_name!r}")
+    description = f"file:{path}"
+    if not overrides:
+        return _LayoutInjection(_TAIL_RUNS[tail_name](), description)
+    tail = _Layout(_TAIL_RUNS[tail_name]())
 
     def f(i: int) -> OrdinalValue:
         got = overrides.get(i)
-        return got if got is not None else tail.eval(i)
+        return got if got is not None else OrdinalValue(0, tail.value(i))
 
-    return InjectionSpec(
-        f, description=f"file:{path}", finite_below=tail.finite_below and not overrides
-    )
+    return InjectionSpec(f, description=description)
 
 
 def binomial2(n: int) -> int:

@@ -16,10 +16,14 @@ of indices whose values form one arithmetic progression inside a single
 gap of every earlier value.  Inside a run the inversion count is a
 quadratic in the prefix length, so scalar values, prefix ranks, counts
 and exact window minima all come from the layout in closed form, with no
-counting kernel; a window up to 10^12 takes milliseconds.  A scheme's
-injection keeps its layout, so the tournament induced by it counts its
-forward pairs in closed form too.  The optimizer searches that catalogue
-for a high minimum prefix density over a window.
+counting kernel; a window up to 10^12 takes milliseconds.  The layout,
+the injection read off it, and the identity and factorial run streams
+live in core, where `FactorialBlock`, `identity_injection` and the tails
+of injection files use them too; this module adds the other catalogue
+patterns.  A scheme's injection keeps its layout, so the tournament
+induced by it counts its forward pairs in closed form too.  The
+optimizer searches that catalogue for a high minimum prefix density
+over a window.
 
 Densities are exact rationals and counts Python integers end to end.
 Only window minima are ever reported; no limiting claim is attached to
@@ -28,7 +32,6 @@ them.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -42,6 +45,11 @@ from .core import (
     OrdinalInjectionTournament,
     OrdinalValue,
     TournamentOracle,
+    _factorial_runs,
+    _identity_runs,
+    _LayoutInjection,
+    _Run,
+    _stacked_runs,
 )
 from .counting import inversion_prefix
 from .errors import SchemeError
@@ -212,19 +220,20 @@ def rank_decompose(K: TournamentOracle, n: int) -> RankDecomposition:
     levels = int(alpha.max()) + 1
     frozen = alpha.copy()
     frozen.setflags(write=False)
+    description = f"rank-decomposition[{K.name}:{n}]"
+    if levels == 1:
+        # every value is (0, i), inside the prefix and beyond it
+        inj: InjectionSpec = _LayoutInjection(_identity_runs(), description)
+    else:
 
-    def f(i: int) -> OrdinalValue:
-        if i < n:
-            return OrdinalValue(int(frozen[i]), i)
-        # beyond the prefix the map continues at level zero, which keeps
-        # it total and injective without disturbing pairs inside [n]
-        return OrdinalValue(0, i)
+        def f(i: int) -> OrdinalValue:
+            if i < n:
+                return OrdinalValue(int(frozen[i]), i)
+            # beyond the prefix the map continues at level zero, which keeps
+            # it total and injective without disturbing pairs inside [n]
+            return OrdinalValue(0, i)
 
-    inj = InjectionSpec(
-        f,
-        description=f"rank-decomposition[{K.name}:{n}]",
-        finite_below=(levels == 1),
-    )
+        inj = InjectionSpec(f, description=description)
     return RankDecomposition(
         n=n, alpha=frozen, levels=levels, source=K.name, induced_injection=inj
     )
@@ -265,169 +274,12 @@ _MIN_RATIO = 1.1
 _DEFAULT_W0 = 1 << 1500
 
 
-@dataclass(frozen=True)
-class _Run:
-    """Consecutive indices whose values form one arithmetic progression
-    lying inside a single gap of every earlier value.
-
-    `above` (G) counts the earlier entries above every member, so the
-    member at offset s has G + s earlier entries above it when the run
-    descends and G when it ascends.  `length` is math.inf for an
-    unbounded run; `joins` marks a run that continues the block of the
-    run before.
-    """
-
-    start: int
-    length: int | float
-    descending: bool
-    above: int
-    first: int  # value of the member at offset 0
-    step: int
-    joins: bool = False
-
-    def value(self, s: int) -> int:
-        return self.first - s * self.step if self.descending else self.first + s * self.step
-
-    def gained(self, t: int) -> int:
-        """Inversions that the first t members add to the prefix before them."""
-        return self.above * t + (t * (t - 1) // 2 if self.descending else 0)
-
-    def candidates(self, inv0: int, a: int, b: int) -> list[int]:
-        """The prefix lengths in [a, b] where the run can put its minimum
-        density: both ends and the integers next to each real root of the
-        density's derivative.
-
-        With t = n - start, 2A(n) = 2(inv0 + gained(t)) is a quadratic
-        alpha*n^2 + beta*n + gamma, and the derivative of 2A / (n^2 - n)
-        has the sign of D(n) = -(alpha + beta)*n^2 - 2*gamma*n + gamma, so
-        the density is monotone between the roots of D.
-        """
-        P, G = self.start, self.above
-        if self.descending:
-            alpha, beta, gamma = 1, 2 * G - 2 * P - 1, 2 * inv0 - 2 * G * P + P * P + P
-        else:
-            alpha, beta, gamma = 0, 2 * G, 2 * inv0 - 2 * G * P
-        c2, c1, c0 = -(alpha + beta), -2 * gamma, gamma
-        floors = []
-        if c2:
-            disc = c1 * c1 - 4 * c2 * c0
-            if disc >= 0:
-                # isqrt is off by less than 1, so each root lies within 1/2
-                # of its value with isqrt(disc) in place of sqrt(disc)
-                s = math.isqrt(disc)
-                floors = [(-c1 + d) // (2 * c2) for d in (-s, s)]
-        elif c1:
-            floors = [-c0 // c1]
-        near = {m + k for m in floors for k in (-1, 0, 1, 2)}
-        return sorted({a, b} | {m for m in near if a <= m <= b})
-
-
-class _Layout:
-    """A scheme's runs in index order, extended lazily, with the inversion
-    count of the prefix that ends where each run starts."""
-
-    def __init__(self, runs: Iterator[_Run]):
-        self._source = runs
-        self.runs: list[_Run] = []
-        self.starts: list[int] = []
-        self.inv: list[int] = []
-        self._failure: Optional[SchemeError] = None  # ends the source for good
-
-    def _extend(self) -> None:
-        if self._failure is not None:
-            raise self._failure
-        try:
-            run = next(self._source)
-        except SchemeError as err:
-            self._failure = err
-            raise
-        inv0 = 0
-        if self.runs:
-            last = self.runs[-1]
-            inv0 = self.inv[-1] + last.gained(last.length)
-        self.runs.append(run)
-        self.starts.append(run.start)
-        self.inv.append(inv0)
-
-    def cover(self, n: int) -> int:
-        """Extend until the runs hold the first n >= 1 indices; return the
-        position of the run holding index n - 1."""
-        while not self.runs or self.runs[-1].start + self.runs[-1].length < n:
-            self._extend()
-        return bisect.bisect_right(self.starts, n - 1) - 1
-
-    def iter_runs(self) -> Iterator[_Run]:
-        k = 0
-        while True:
-            if k == len(self.runs):
-                self._extend()
-            yield self.runs[k]
-            k += 1
-
-    def value(self, i: int) -> int:
-        run = self.runs[self.cover(i + 1)]
-        return run.value(i - run.start)
-
-    def inversions(self, n: int) -> int:
-        if n < 2:
-            return 0
-        k = self.cover(n)
-        return self.inv[k] + self.runs[k].gained(n - self.starts[k])
-
-    def ranks(self, n: int) -> np.ndarray:
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        last = self.cover(n)
-        # index ranges in descending value order; each run enters as one
-        # range right under the `above` earlier entries that outrank it
-        order: list[tuple[int, int, bool]] = []
-        for run in self.runs[: last + 1]:
-            hi = min(n, run.start + run.length)
-            order.insert(_split_after(order, run.above), (run.start, hi, run.descending))
-        pos = np.concatenate(
-            [np.arange(lo, hi) if desc else np.arange(hi - 1, lo - 1, -1)
-             for lo, hi, desc in order]
-        )
-        ranks = np.empty(n, dtype=np.int64)
-        ranks[pos] = np.arange(n - 1, -1, -1, dtype=np.int64)
-        return ranks
-
-    def window_min(self, n_lo: int, n_hi: int) -> tuple[Fraction, int]:
-        # run k holds the prefix lengths start+1 .. start+length
-        first, last = self.cover(n_lo), self.cover(n_hi)
-        best_num, best_den, best_n = 1, 0, -1
-        for run, inv0 in zip(self.runs[first : last + 1], self.inv[first : last + 1]):
-            a = max(n_lo, run.start + 1)
-            b = min(n_hi, run.start + run.length)
-            for n in run.candidates(inv0, a, b):
-                num = inv0 + run.gained(n - run.start)
-                den = n * (n - 1) // 2
-                if best_n < 0 or num * best_den < best_num * den:
-                    best_num, best_den, best_n = num, den, n
-        return Fraction(best_num, best_den), best_n
-
-
-def _split_after(order: list[tuple[int, int, bool]], m: int) -> int:
-    """Split `order` so that a range boundary falls after its first m
-    entries, and return the position of that boundary."""
-    k = 0
-    while m > 0:
-        lo, hi, desc = order[k]
-        if hi - lo > m:
-            mid = lo + m if desc else hi - m
-            parts = [(lo, mid), (mid, hi)] if desc else [(mid, hi), (lo, mid)]
-            order[k : k + 1] = [(x, y, desc) for x, y in parts]
-        m -= min(m, hi - lo)
-        k += 1
-    return k
-
-
 @dataclass
 class BlockScheme:
     """A parametric injection laid out as a sequence of runs.
 
-    `injection` is the total InjectionSpec, read off the runs one value
-    at a time; `block_sizes()` streams the committed interval widths;
+    `injection` is the total injection, read off the runs one value at a
+    time, and `injection.layout` holds the runs; `block_sizes()` streams the committed interval widths;
     `prefix_ranks(n)` gives the dense value ranks of the first n
     arguments and `inversions(n)` their inversion count, neither of which
     materializes an ordinal value.
@@ -435,12 +287,11 @@ class BlockScheme:
 
     pattern: str
     params: dict
-    injection: InjectionSpec
-    _layout: _Layout = field(repr=False)
+    injection: _LayoutInjection
 
     def block_sizes(self) -> Iterator[int]:
         size = 0
-        for run in self._layout.iter_runs():
+        for run in self.injection.layout.iter_runs():
             if size and not run.joins:
                 yield size
                 size = 0
@@ -452,13 +303,13 @@ class BlockScheme:
     def prefix_ranks(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("prefix length must be non-negative")
-        return self._layout.ranks(n)
+        return self.injection.layout.ranks(n)
 
     def inversions(self, n: int) -> int:
         """Number of inverted pairs among the first n arguments."""
         if n < 0:
             raise ValueError("prefix length must be non-negative")
-        return self._layout.inversions(n)
+        return self.injection.layout.inversions(n)
 
     def describe(self) -> str:
         if not self.params:
@@ -476,26 +327,8 @@ def _fmt_param(v) -> str:
     return str(v)
 
 
-class _SchemeInjection(InjectionSpec):
-    """A scheme's injection: values and prefix inversion counts both read
-    off the run layout, so a tournament built on it counts in closed form."""
-
-    def __init__(self, layout: _Layout, description: str):
-        super().__init__(
-            lambda i: OrdinalValue(0, layout.value(i)),
-            description=description,
-            finite_below=True,
-        )
-        self._layout = layout
-
-    def inversions_closed_form(self, n: int) -> int:
-        return self._layout.inversions(n)
-
-
 def _scheme(pattern: str, params: dict, description: str, runs: Iterator[_Run]) -> BlockScheme:
-    layout = _Layout(runs)
-    inj = _SchemeInjection(layout, description)
-    return BlockScheme(pattern=pattern, params=params, injection=inj, _layout=layout)
+    return BlockScheme(pattern, params, _LayoutInjection(runs, description))
 
 
 def _geometric_sizes(r: float, L0: int) -> Iterator[int]:
@@ -509,14 +342,6 @@ def _geometric_sizes(r: float, L0: int) -> Iterator[int]:
         prev = size
         yield size
         cur = cur * r
-
-
-def _stacked_runs(sizes: Iterator[int]) -> Iterator[_Run]:
-    """One descending run per block, each block above every older one."""
-    P = 0
-    for L in sizes:
-        yield _Run(P, L, True, 0, P + L - 1, 1)
-        P += L
 
 
 def _paired_runs(sizes: Iterator[int]) -> Iterator[_Run]:
@@ -581,9 +406,7 @@ def factorial_scheme() -> BlockScheme:
     """The block scheme with factorial boundaries: block k covers the
     indices in [(k-1)!, k!), values descending inside the block and
     blocks stacked upward."""
-    sizes = (math.factorial(k) - math.factorial(k - 1) for k in itertools.count(2))
-    runs = _stacked_runs(itertools.chain([1], sizes))
-    return _scheme("factorial", {}, "factorial-block reversal", runs)
+    return _scheme("factorial", {}, "factorial-block reversal", _factorial_runs())
 
 
 def make_block_scheme(
@@ -605,7 +428,7 @@ def make_block_scheme(
         known = ", ".join(BLOCK_PATTERNS)
         raise SchemeError(f"unknown pattern {pattern!r}; catalogue: {known}")
     if pattern == "identity":
-        return _scheme("identity", {}, "identity", iter([_Run(0, math.inf, False, 0, 0, 1)]))
+        return _scheme("identity", {}, "identity", _identity_runs())
     if pattern == "factorial":
         return factorial_scheme()
     if not (r > _MIN_RATIO):
@@ -664,7 +487,7 @@ def window_min_density(
     """
     if not (2 <= n_lo < n_hi):
         raise ValueError("window must satisfy 2 <= n_lo < n_hi")
-    return scheme._layout.window_min(n_lo, n_hi)
+    return scheme.injection.layout.window_min(n_lo, n_hi)
 
 
 _R_GRID = (1.5, 2.0, 3.0, 4.0, 6.0, 8.0)

@@ -16,7 +16,6 @@ from typing import Container, Iterator, Optional, Sequence, Union
 
 from .analysis import gamma, is_acyclic
 from .core import (
-    FactorialBlock,
     FiniteOrientedGraph,
     OrdinalInjectionTournament,
     PresentedGraph,
@@ -423,20 +422,6 @@ class InfinitenessOracle:
         """The one infinite class; oracles with two override this."""
         return self.classes[0]
 
-    def enumerate(
-        self,
-        constraints: Sequence[Constraint],
-        exclusions: Container[int] = (),
-        count: int = 1,
-    ) -> list[int]:
-        streams = [
-            self.enumerate_in_class(constraints, exclusions, count, k)
-            for k in ("+", "-")
-            if self.decide_in_class(constraints, k)
-        ]
-        merged: list[int] = sorted(set().union(*streams)) if streams else []
-        return merged[:count]
-
     def enumerate_in_class(
         self,
         constraints: Sequence[Constraint],
@@ -603,8 +588,6 @@ def infiniteness_oracle_for(K: TournamentOracle) -> InfinitenessOracle:
         return TransitiveDownOracle()
     if isinstance(K, SplitTransitive):
         return SplitTransitiveOracle()
-    if isinstance(K, FactorialBlock):  # the same tournament, as a value order
-        K = OrdinalInjectionTournament(K.equivalent_injection())
     if isinstance(K, OrdinalInjectionTournament) and K.injection.finite_below:
         return FiniteBelowOracle(K)
     return AlwaysInfiniteOracle(K)

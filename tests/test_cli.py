@@ -1,6 +1,7 @@
 """CLI behavior: output shapes, exit codes, determinism, error mapping."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -245,6 +246,14 @@ def test_inversions_file_argument(capsys, tmp_path):
     assert "8,14,28,1/2" in out
 
 
+def test_inversions_file_index_given_twice(capsys, tmp_path):
+    p = tmp_path / "twice.txt"
+    p.write_text("5 1 1\n5 2 2\n")
+    code, out, err = run_cli(capsys, "inversions", "--injection", str(p), "--nmax", "8")
+    assert code == 2 and out == ""
+    assert err == f"#ERROR graph-format: {p}:2: index 5 given twice\n"
+
+
 def test_inversions_bad_scheme(capsys):
     code, _, err = run_cli(capsys, "inversions", "--injection", "bogus", "--nmax", "10")
     assert code == 2
@@ -302,7 +311,7 @@ def test_optimize_window_argument_shape(capsys):
 
 def test_inversions_scheme_reads_counts_from_its_runs(capsys, monkeypatch):
     from tourlab import counting
-    from tourlab.core import FactorialBlock, InjectionSpec
+    from tourlab.core import InjectionSpec
 
     def refuse(*args):
         raise AssertionError("a catalogue scheme built values or ran the kernel")
@@ -315,6 +324,11 @@ def test_inversions_scheme_reads_counts_from_its_runs(capsys, monkeypatch):
     assert code == 0
     rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
     assert len(rows) == 400
-    K = FactorialBlock()
+    # inversions sit inside blocks: sum C(w, 2) over the block widths below n
     for n, fwd, _, _ in rows[::37]:
-        assert int(fwd) == K.forward_pairs_upto(int(n))
+        n, want, lo, k = int(n), 0, 0, 1
+        while lo < n:
+            w = min(math.factorial(k), n) - lo
+            want += w * (w - 1) // 2
+            lo, k = math.factorial(k), k + 1
+        assert int(fwd) == want

@@ -1,5 +1,8 @@
 """Core types, oracles, and file formats."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from tourlab.core import (
     FactorialBlock,
     FiniteOrientedGraph,
     InjectionSpec,
+    OrdinalInjectionTournament,
     OrdinalValue,
     SeededRandom,
     TabulatedTournament,
@@ -20,12 +24,9 @@ from tourlab.core import (
     anti_path,
     binomial2,
     exact_density,
-    factorial_block_interval,
     forward_path,
     identity_injection,
     interleaved_forest,
-    make_ordinal_injection_tournament,
-    orient,
     out_stars,
     pair_hash,
     pair_hash_np,
@@ -80,15 +81,15 @@ def test_injection_collision_detected_lazily():
 
 
 def test_transitive_families():
-    assert orient(TransitiveOmega(), 2, 5) is Direction.FORWARD
-    assert orient(TransitiveOmegaStar(), 2, 5) is Direction.BACKWARD
+    assert TransitiveOmega().orient(2, 5) is Direction.FORWARD
+    assert TransitiveOmegaStar().orient(2, 5) is Direction.BACKWARD
     # antisymmetric normalization
-    assert orient(TransitiveOmega(), 5, 2) is Direction.BACKWARD
+    assert TransitiveOmega().orient(5, 2) is Direction.BACKWARD
 
 
 def test_loop_query_rejected():
     with pytest.raises(LoopQueryError):
-        orient(TransitiveOmega(), 3, 3)
+        TransitiveOmega().orient(3, 3)
 
 
 @given(st.integers(0, 200), st.integers(0, 200))
@@ -104,18 +105,25 @@ def test_orient_pure_and_antisymmetric(i, j):
 # --------------------------------------------------------- factorial block
 
 
-def test_factorial_block_intervals():
-    # blocks are {0}, {1}, {2..5}, {6..23}, ...
-    assert [factorial_block_interval(v) for v in range(8)] == [
-        (0, 1),
-        (1, 2),
-        (2, 6),
-        (2, 6),
-        (2, 6),
-        (2, 6),
-        (6, 24),
-        (6, 24),
-    ]
+def _factorial_row(j):
+    """Row j of factorial-block by block arithmetic: forward from the
+    start of j's block, blocks ending at 1!, 2!, 3!, ..."""
+    lo, k = 0, 1
+    while math.factorial(k) <= j:
+        lo = math.factorial(k)
+        k += 1
+    return np.arange(j) >= lo
+
+
+def test_factorial_block_rows_match_block_arithmetic(monkeypatch):
+    # the numpy row reads the run layout only, never a value
+    def forbidden(self, i):
+        raise AssertionError("a forward row evaluated the injection")
+
+    monkeypatch.setattr(InjectionSpec, "eval", forbidden)
+    K = FactorialBlock()
+    for j in range(2000):
+        assert np.array_equal(K.forward_row(j), _factorial_row(j)), j
 
 
 def test_factorial_block_orientations():
@@ -140,9 +148,11 @@ def test_factorial_block_counts_match_rows():
 
 def test_factorial_reversal_injection_matches_family():
     K = FactorialBlock()
-    f = K.equivalent_injection()
+    f = K.injection
+    assert f.finite_below
     assert [v.minor for v in f.values(6)] == [0, 1, 5, 4, 3, 2]
-    Kf = make_ordinal_injection_tournament(f)
+    # the plain injection tournament compares values pair by pair
+    Kf = OrdinalInjectionTournament(f)
     n = 10_000
     # compare whole rows in chunks; identical oracles agree everywhere
     for j in range(1, n, 997):
@@ -212,7 +222,7 @@ def test_pair_hash_numpy_matches_scalar(seed, i, j):
 
 
 def test_identity_injection_tournament_is_backward():
-    K = make_ordinal_injection_tournament(identity_injection())
+    K = OrdinalInjectionTournament(identity_injection())
     assert not K.forward_row(50).any()
 
 
@@ -222,7 +232,7 @@ def test_reversed_prefix_injection_all_forward():
     def f(i):
         return OrdinalValue(0, n - i) if i < n else OrdinalValue(1, i)
 
-    K = make_ordinal_injection_tournament(InjectionSpec(f))
+    K = OrdinalInjectionTournament(InjectionSpec(f))
     for j in range(1, n):
         assert K.forward_row(j).all()
 
@@ -237,7 +247,7 @@ def test_forward_walks_decrease_values(seed, n):
     f = InjectionSpec(
         lambda i: OrdinalValue(0, int(perm[i])) if i < n else OrdinalValue(1, i)
     )
-    K = make_ordinal_injection_tournament(f)
+    K = OrdinalInjectionTournament(f)
     for j in range(1, n):
         row = K.forward_row(j)
         for i in np.flatnonzero(row):
@@ -393,6 +403,26 @@ def test_read_injection_file(tmp_path):
     q.write_text("tail factorial\n")
     g = read_injection_file(str(q))
     assert g.eval(2) == OrdinalValue(0, 5)
+    # a tail-only file is the tail's run layout, described by its path
+    assert g.finite_below and g.description == f"file:{q}"
+    assert g.inversions_closed_form(6) == 6
+    assert not f.finite_below and f.inversions_closed_form(6) is None
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("5 1 1\n# again\n5 2 2\n", 3),
+        ("tail identity\n1 1 0\ntail factorial\n", 3),
+        ("tail factorial\ntail factorial\n", 2),
+    ],
+    ids=["index-twice", "tail-after-override", "tail-twice"],
+)
+def test_read_injection_file_rejects_contradictions(tmp_path, text, line):
+    p = tmp_path / "twice.inj"
+    p.write_text(text)
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(str(p))}:{line}: "):
+        read_injection_file(str(p))
 
 
 # ------------------------------------------------------------ density util

@@ -1,5 +1,6 @@
 """Density profiles, rank decompositions, and block-scheme search."""
 
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -20,6 +21,7 @@ from tourlab.core import (
     TournamentOracle,
     TransitiveOmega,
     TransitiveOmegaStar,
+    read_injection_file,
 )
 import tourlab.counting as counting
 import tourlab.density as density
@@ -121,10 +123,10 @@ def test_profile_entries_exact():
 
 
 def test_injection_and_closed_form_paths_agree():
-    f = FactorialBlock().equivalent_injection()
-    via_injection = density_profile(OrdinalInjectionTournament(f), 200)
+    # the opaque copy accumulates rows pair by pair from the values
+    via_rows = density_profile(OpaqueInjectionTournament(FactorialBlock().injection), 200)
     via_closed = density_profile(FactorialBlock(), 200)
-    assert [d for _, d in via_injection.samples] == [d for _, d in via_closed.samples]
+    assert [d for _, d in via_rows.samples] == [d for _, d in via_closed.samples]
 
 
 @settings(max_examples=25, deadline=None)
@@ -514,6 +516,16 @@ def test_scheme_profile_matches_injection_profile():
     assert via_layout.entries == via_rows.entries
 
 
+def _factorial_pairs(n):
+    """Pairs i < j < n inside one block, blocks ending at 1!, 2!, 3!, ..."""
+    total, lo, k = 0, 0, 1
+    while lo < n:
+        w = min(math.factorial(k), n) - lo
+        total += w * (w - 1) // 2
+        lo, k = math.factorial(k), k + 1
+    return total
+
+
 def _forbid_value_counting(monkeypatch):
     def forbidden(*args):
         raise AssertionError("values were materialized or ranked and counted")
@@ -531,10 +543,21 @@ def test_scheme_injection_tournament_counts_in_closed_form(monkeypatch):
     )
     via_scheme = inversion_density_profile(s, 100_000, stride=100)
     assert via_tournament.entries == via_scheme.entries
-    # FactorialBlock's block loop is a closed form independent of the layout
+    # block arithmetic on factorial bounds is independent of the layout
     K = OrdinalInjectionTournament(factorial_scheme().injection)
     for n in (2, 7, 1000, 10 ** 6, 10 ** 12):
-        assert forward_pair_count(K, n) == forward_pair_count(FactorialBlock(), n)
+        assert forward_pair_count(K, n) == _factorial_pairs(n)
+        assert forward_pair_count(FactorialBlock(), n) == _factorial_pairs(n)
+
+
+def test_factorial_tail_file_counts_in_closed_form(monkeypatch, tmp_path):
+    p = tmp_path / "tail.inj"
+    p.write_text("tail factorial\n")
+    f = read_injection_file(str(p))
+    _forbid_value_counting(monkeypatch)
+    via_file = inversion_density_profile(f, 10 ** 6, stride=1000)
+    via_scheme = inversion_density_profile(factorial_scheme(), 10 ** 6, stride=1000)
+    assert via_file.entries == via_scheme.entries
 
 
 def test_cycles_that_do_not_fit_raise(monkeypatch):

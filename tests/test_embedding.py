@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tourlab.core import (
     FactorialBlock,
     FiniteOrientedGraph,
+    OrdinalInjectionTournament,
     SeededRandom,
     SplitTransitive,
     TransitiveOmega,
@@ -15,7 +16,6 @@ from tourlab.core import (
     anti_path,
     identity_injection,
     interleaved_forest,
-    make_ordinal_injection_tournament,
     out_stars,
     random_presented,
     tournament_from_name,
@@ -299,14 +299,14 @@ def test_up_oracle():
     o = TransitiveUpOracle()
     assert o.decide([(0, "+"), (5, "+")])
     assert not o.decide([(0, "+"), (5, "-")])
-    assert o.enumerate([(3, "+")], exclusions={4, 6}, count=3) == [5, 7, 8]
+    assert o.enumerate_in_class([(3, "+")], {4, 6}, 3, "+") == [5, 7, 8]
 
 
 def test_down_oracle():
     o = TransitiveDownOracle()
     assert o.decide([(2, "-")])
     assert not o.decide([(2, "+")])
-    assert o.enumerate([(2, "-")], count=2) == [3, 4]
+    assert o.enumerate_in_class([(2, "-")], (), 2, "-") == [3, 4]
 
 
 def test_split_oracle():
@@ -318,14 +318,12 @@ def test_split_oracle():
     odds = o.enumerate_in_class([(0, "+"), (1, "-")], set(), 3, "-")
     assert evens == [2, 4, 6]
     assert odds == [3, 5, 7]
-    # the unrestricted stream interleaves both classes in vertex order
-    assert o.enumerate([(0, "+"), (1, "-")], count=4) == [2, 3, 4, 5]
 
 
 def test_always_infinite_oracle_enumerates_by_scanning():
     K = SeededRandom(9)
     o = AlwaysInfiniteOracle(K)
-    got = o.enumerate([(0, "+"), (1, "-")], exclusions={2}, count=5)
+    got = o.enumerate_in_class([(0, "+"), (1, "-")], {2}, 5, "+")
     assert len(got) == 5 and 2 not in got
     for w in got:
         assert K.has_edge(0, w) and K.has_edge(w, 1)
@@ -336,15 +334,15 @@ def test_always_infinite_oracle_scan_cap():
     # 900 and below 5, so a capped scan must fail loudly
     o = AlwaysInfiniteOracle(TransitiveOmega(), scan_limit=500)
     with pytest.raises(OracleInconsistencyError):
-        o.enumerate([(900, "+"), (5, "-")], count=5)
+        o.enumerate_in_class([(900, "+"), (5, "-")], (), 5, "+")
 
 
 def test_finite_below_oracle():
-    K = make_ordinal_injection_tournament(FactorialBlock().equivalent_injection())
+    K = FactorialBlock()
     o = FiniteBelowOracle(K)
     assert o.decide([(0, "-"), (7, "-")])
     assert not o.decide([(0, "+")])
-    got = o.enumerate([(0, "-"), (7, "-")], count=4)
+    got = o.enumerate_in_class([(0, "-"), (7, "-")], (), 4, "-")
     f = K.injection
     bound = max(f.eval(0), f.eval(7))
     assert len(got) == 4
@@ -360,9 +358,9 @@ def test_oracle_dispatch():
     assert isinstance(
         infiniteness_oracle_for(SplitTransitive()), SplitTransitiveOracle
     )
-    K = make_ordinal_injection_tournament(FactorialBlock().equivalent_injection())
+    K = OrdinalInjectionTournament(identity_injection())
     assert isinstance(infiniteness_oracle_for(K), FiniteBelowOracle)
-    # the block tournament is read as its value order, not scanned pair by pair
+    # the block tournament is the factorial layout's value order
     assert isinstance(infiniteness_oracle_for(FactorialBlock()), FiniteBelowOracle)
     assert isinstance(infiniteness_oracle_for(SeededRandom(0)), AlwaysInfiniteOracle)
 
@@ -398,7 +396,7 @@ def _shipped_tournaments(tmp_path):
         SplitTransitive(),
         FactorialBlock(),
         tournament_from_name(f"injection:{tail}"),
-        make_ordinal_injection_tournament(identity_injection()),
+        OrdinalInjectionTournament(identity_injection()),
         SeededRandom(4),
     ]
 
@@ -438,7 +436,7 @@ CURSOR_ORACLES = [
     infiniteness_oracle_for(TransitiveOmegaStar()),
     infiniteness_oracle_for(SplitTransitive()),
     infiniteness_oracle_for(FactorialBlock()),
-    infiniteness_oracle_for(make_ordinal_injection_tournament(identity_injection())),
+    infiniteness_oracle_for(OrdinalInjectionTournament(identity_injection())),
     infiniteness_oracle_for(SeededRandom(9)),
 ]
 
@@ -630,7 +628,7 @@ def test_spanning_shallow_component_errors():
 
 
 def test_spanning_into_value_order_tournament():
-    K = make_ordinal_injection_tournament(FactorialBlock().equivalent_injection())
+    K = OrdinalInjectionTournament(FactorialBlock().injection)
     res = spanning_embed(anti_path(), K, horizon=12)
     assert all(res.phi.has_target(k) for k in range(12))
     assert res.phi.is_valid(anti_path())
