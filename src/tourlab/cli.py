@@ -169,15 +169,17 @@ def _run_embed(cfg: RunConfig) -> int:
         G, K, oracle=oracle, horizon=cfg.horizon, budget=cfg.budget
     )
     offset = 1 if G.is_finite else 0  # finite graphs come from 1-based files
-    for g in sorted(result.phi.mapping):
-        print(f"{g + offset} {result.phi[g]}")
+    lines = [f"{g + offset} {result.phi[g]}" for g in sorted(result.phi.mapping)]
     covered = sum(1 for k in range(cfg.horizon) if result.phi.has_target(k))
     valid = "true" if result.phi.is_valid(G) else "false"
     cells = ";".join(
         f"{m.id}:{m.frontier}{m.cells.cell_type(m.frontier)}" for m in result.machines
     )
-    print(f"covered={covered} valid={valid} cells={cells}")
-    print(f"#RESULT covered={covered},valid={valid},cells={cells}")
+    lines.append(f"covered={covered} valid={valid} cells={cells}")
+    lines.append(f"#RESULT covered={covered},valid={valid},cells={cells}")
+    # written only once rendered whole: an image too long to render as
+    # digits fails before the first line, leaving stdout empty
+    print("\n".join(lines))
     return 0
 
 

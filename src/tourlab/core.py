@@ -75,17 +75,10 @@ class InjectionSpec:
     distinct indices are observed to share a value, MalformedInjectionError
     is raised.
 
-    `finite_below` says whether every value has only finitely many indices
-    mapped strictly below it; the infiniteness oracle for the induced
-    tournament relies on it.  A general map makes no such promise, so it is
-    False here and True on the injection read off a run layout.
-
     `inversions_closed_form(n)` is None here: a prefix count needs the
     values.  A layout-backed injection overrides it with the count read off
     its runs.
     """
-
-    finite_below = False
 
     def __init__(self, eval_fn: Callable[[int], OrdinalValue], description: str = ""):
         self._eval_fn = eval_fn
@@ -218,13 +211,27 @@ class _Layout:
             self._extend()
         return bisect.bisect_right(self.starts, n - 1) - 1
 
-    def iter_runs(self) -> Iterator[_Run]:
-        k = 0
+    def iter_runs(self, k: int = 0) -> Iterator[_Run]:
         while True:
             if k == len(self.runs):
                 self._extend()
             yield self.runs[k]
             k += 1
+
+    def indices_above(self, bound: int, start: int = 0) -> Iterator[int]:
+        """The indices from `start` on whose value exceeds `bound`, in
+        increasing order.  In each run they form one offset range: a prefix
+        of a descending run, a suffix of an ascending one."""
+        for run in self.iter_runs(self.cover(start + 1)):
+            if run.descending:  # first - s*step > bound
+                lo, hi = 0, -((bound - run.first) // run.step)
+            else:  # first + s*step > bound
+                lo, hi = (bound - run.first) // run.step + 1, run.length
+            lo, hi = max(lo, start - run.start, 0), min(hi, run.length)
+            if hi == math.inf:
+                yield from itertools.count(run.start + lo)
+            elif lo < hi:
+                yield from range(run.start + lo, run.start + hi)
 
     def value(self, i: int) -> int:
         run = self.runs[self.cover(i + 1)]
@@ -307,9 +314,8 @@ def _factorial_runs() -> Iterator[_Run]:
 class _LayoutInjection(InjectionSpec):
     """The injection i -> (0, value) read off a run layout.  Prefix
     inversion counts come off the runs as well, so a tournament built on
-    it counts in closed form, and every down-set is finite."""
-
-    finite_below = True
+    it counts in closed form, and the indices above any value come off
+    them one range per run."""
 
     def __init__(self, runs: Iterator[_Run], description: str):
         layout = _Layout(runs)
@@ -438,21 +444,6 @@ class TransitiveOmega(TournamentOracle):
         return n * (n - 1) // 2
 
 
-class TransitiveOmegaStar(TournamentOracle):
-    """The transitive tournament on the naturals, edges pointing down."""
-
-    name = "transitive-omega-star"
-
-    def _orient_lt(self, i, j):
-        return Direction.BACKWARD
-
-    def forward_row(self, j):
-        return np.zeros(j, dtype=bool)
-
-    def forward_pairs_upto(self, n):
-        return 0
-
-
 class SplitTransitive(TournamentOracle):
     """Two interleaved transitive halves: even vertices ascend among
     themselves, odd vertices descend among themselves, and every even
@@ -496,7 +487,8 @@ class ExponentialThreshold(TournamentOracle):
     name = "exp-threshold"
 
     def _orient_lt(self, i, j):
-        return Direction.FORWARD if (j + 1) <= (1 << (i + 1)) else Direction.BACKWARD
+        # j + 1 <= 2**(i + 1) without building 2**(i + 1)
+        return Direction.FORWARD if j.bit_length() <= i + 1 else Direction.BACKWARD
 
     def forward_row(self, j):
         row = np.ones(j, dtype=bool)
@@ -575,6 +567,18 @@ class FactorialBlock(OrdinalInjectionTournament):
         row = np.zeros(j, dtype=bool)
         row[layout.runs[layout.cover(j + 1)].start :] = True
         return row
+
+
+class TransitiveOmegaStar(OrdinalInjectionTournament):
+    """The transitive tournament on the naturals, edges pointing down: the
+    tournament induced by the identity layout, which has no inversions."""
+
+    def __init__(self):
+        super().__init__(identity_injection())
+        self.name = "transitive-omega-star"
+
+    def forward_row(self, j):
+        return np.zeros(j, dtype=bool)
 
 
 class TabulatedTournament(TournamentOracle):

@@ -1,7 +1,6 @@
 """Embedding machinery: greedy transitive embeddings, alternating-cell
-partitions, the pair-coloring reduction, transitive-subtournament
-extraction, and the spanning-embedding engine driven by an infiniteness
-oracle.
+partitions, transitive-subtournament extraction, and the
+spanning-embedding engine driven by an infiniteness oracle.
 
 Signs are the characters '+' and '-': a '+'-neighbor of v is an
 out-neighbor (v -> w), a '-'-neighbor an in-neighbor (w -> v).
@@ -23,6 +22,7 @@ from .core import (
     TournamentOracle,
     TransitiveOmega,
     TransitiveOmegaStar,
+    _LayoutInjection,
 )
 from .errors import (
     CycleFoundError,
@@ -443,30 +443,20 @@ def _free_run(w: int, step: int, exclusions: Container[int], count: int) -> list
     return out
 
 
-class _TransitiveOracle(InfinitenessOracle):
-    """Signed neighborhoods in a transitive tournament: those of the one
-    sign in `classes` are upward tails (infinite), the others finite."""
+class TransitiveUpOracle(InfinitenessOracle):
+    """Upward transitive tournament: forward neighborhoods are upward
+    tails (infinite), backward ones finite."""
+
+    classes = ("+",)
 
     def admits(self, v, s):
-        return s == self.classes[0]
+        return s == "+"
 
     def enumerate_in_class(self, constraints, exclusions, count, klass, start=0):
         if not self.decide_in_class(constraints, klass):
             return []
         lo = max((v + 1 for (v, _) in constraints), default=0)
         return _free_run(max(lo, start), 1, exclusions, count)
-
-
-class TransitiveUpOracle(_TransitiveOracle):
-    """Upward transitive tournament: forward neighborhoods are the tails."""
-
-    classes = ("+",)
-
-
-class TransitiveDownOracle(_TransitiveOracle):
-    """Downward transitive tournament: backward neighborhoods are the tails."""
-
-    classes = ("-",)
 
 
 class AlwaysInfiniteOracle(InfinitenessOracle):
@@ -518,17 +508,19 @@ class AlwaysInfiniteOracle(InfinitenessOracle):
 
 
 class FiniteBelowOracle(InfinitenessOracle):
-    """Oracle for injection-backed tournaments whose value order has finite
-    down-sets: forward neighborhoods (toward smaller values) are finite,
-    backward ones cofinite, so every sign is '-'."""
+    """Oracle for a tournament induced by a run layout's injection.  Every
+    down-set of the value order is finite, so forward neighborhoods
+    (toward smaller values) are finite, backward ones cofinite, and every
+    sign is '-'.  The members of an intersection are the indices whose
+    value exceeds every anchor's, which the layout walks one range per
+    run."""
 
     classes = ("-",)
 
-    def __init__(self, K: OrdinalInjectionTournament, scan_limit: int = 2_000_000):
-        if not K.injection.finite_below:
-            raise ValueError("companion injection lacks the finite-below property")
-        self.K = K
-        self.scan_limit = scan_limit
+    def __init__(self, K: OrdinalInjectionTournament):
+        if not isinstance(K.injection, _LayoutInjection):
+            raise ValueError("companion injection has no run layout")
+        self.layout = K.injection.layout
 
     def admits(self, v, s):
         return s == "-"
@@ -536,22 +528,10 @@ class FiniteBelowOracle(InfinitenessOracle):
     def enumerate_in_class(self, constraints, exclusions, count, klass, start=0):
         if not self.decide_in_class(constraints, klass):
             return []
-        f = self.K.injection
-        anchors = {v for (v, _) in constraints}
-        bound = max((f.eval(v) for v in anchors), default=None)
-        out: list[int] = []
-        w = start
-        while len(out) < count:
-            if w > self.scan_limit:
-                raise OracleInconsistencyError(
-                    "value-order scan exhausted; the finite-below property "
-                    "of the companion injection looks violated"
-                )
-            if w not in exclusions and w not in anchors:
-                if bound is None or f.eval(w) > bound:
-                    out.append(w)
-            w += 1
-        return out
+        # layout values are non-negative, so -1 bounds nothing
+        bound = max((self.layout.value(v) for (v, _) in constraints), default=-1)
+        free = (w for w in self.layout.indices_above(bound, start) if w not in exclusions)
+        return list(itertools.islice(free, count))
 
 
 class SplitTransitiveOracle(InfinitenessOracle):
@@ -584,11 +564,11 @@ def infiniteness_oracle_for(K: TournamentOracle) -> InfinitenessOracle:
     """The shipped oracle matching a tournament family."""
     if isinstance(K, TransitiveOmega):
         return TransitiveUpOracle()
-    if isinstance(K, TransitiveOmegaStar):
-        return TransitiveDownOracle()
     if isinstance(K, SplitTransitive):
         return SplitTransitiveOracle()
-    if isinstance(K, OrdinalInjectionTournament) and K.injection.finite_below:
+    if isinstance(K, OrdinalInjectionTournament) and isinstance(
+        K.injection, _LayoutInjection
+    ):
         return FiniteBelowOracle(K)
     return AlwaysInfiniteOracle(K)
 

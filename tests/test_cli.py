@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,14 @@ FROZEN_EMBEDS = [
      "29a254c2768fb95f3b4fae08994e3c88db9a6e91beab132a1f4d46426b2891e7"),
     ("interleaved-forest", "transitive-omega",
      "070a09e7b0cb8ac3c2a4fc1ce4aa7fc23d533deeb313b6e3d274a86fe4e0d0ca"),
+    # value-order hosts: pools read off the run layout, digests unchanged
+    # since each index was tested against the anchors' values in turn
+    ("interleaved-forest", "factorial-block",
+     "264db4503bc09cebc640ca4e6e8ab46c4f74559631b4e0c9cc6bf2f0b0de78d1"),
+    ("interleaved-forest", "transitive-omega-star",
+     "31f76727bccc1cd934c0a69d6cc97dfc3769c9cce4ab196ed3f145f54cd4a81b"),
+    ("anti-path", "transitive-omega-star",
+     "710613a11fb45fe2e8a4752a774188133897ec4055a4dda337e49807cb907057"),
 ]
 
 
@@ -195,6 +204,23 @@ def test_embed_into_factorial_block_covers_the_horizon(capsys):
                 assert (_factorial_block(a) == _factorial_block(b)) == (a < b)
                 edges += 1
     assert edges > 0
+
+
+def test_embed_failing_to_render_prints_nothing(capsys):
+    # anti-path climbs one factorial block per step, so its images near
+    # horizon 500 run to about 1,100 digits, past a 640-digit cap on
+    # int-to-str conversion; the report must fail whole, not halfway
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(
+            capsys, "embed", "--graph", "anti-path",
+            "--tournament", "factorial-block", "--horizon", "500",
+        )
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 2 and out == ""
+    assert err.startswith("#ERROR invalid-argument:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

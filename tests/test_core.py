@@ -36,6 +36,7 @@ from tourlab.core import (
     read_injection_file,
     tournament_from_name,
 )
+from tourlab.embedding import FiniteBelowOracle, infiniteness_oracle_for
 from tourlab.errors import (
     GraphFormatError,
     LoopQueryError,
@@ -64,10 +65,17 @@ def test_ordinal_rejects_negative():
 # -------------------------------------------------------------- injections
 
 
+def _has_layout_oracle(f):
+    """Whether the tournament induced by f gets the layout oracle, which
+    needs the run layout behind f."""
+    oracle = infiniteness_oracle_for(OrdinalInjectionTournament(f))
+    return isinstance(oracle, FiniteBelowOracle)
+
+
 def test_identity_injection_values():
     f = identity_injection()
     assert f.values(4) == [OrdinalValue(0, i) for i in range(4)]
-    assert f.finite_below
+    assert _has_layout_oracle(f)
 
 
 def test_injection_collision_detected_lazily():
@@ -83,6 +91,8 @@ def test_injection_collision_detected_lazily():
 def test_transitive_families():
     assert TransitiveOmega().orient(2, 5) is Direction.FORWARD
     assert TransitiveOmegaStar().orient(2, 5) is Direction.BACKWARD
+    # the downward chain is the identity layout's tournament: no inversions
+    assert TransitiveOmegaStar().forward_pairs_upto(10**9) == 0
     # antisymmetric normalization
     assert TransitiveOmega().orient(5, 2) is Direction.BACKWARD
 
@@ -149,7 +159,7 @@ def test_factorial_block_counts_match_rows():
 def test_factorial_reversal_injection_matches_family():
     K = FactorialBlock()
     f = K.injection
-    assert f.finite_below
+    assert _has_layout_oracle(f)
     assert [v.minor for v in f.values(6)] == [0, 1, 5, 4, 3, 2]
     # the plain injection tournament compares values pair by pair
     Kf = OrdinalInjectionTournament(f)
@@ -171,6 +181,29 @@ def test_exp_threshold_against_definition():
         for i in range(j):
             assert row[i] == ((j + 1) <= 2 ** (i + 1))
     assert K.forward_pairs_upto(40) == 642
+
+
+def test_exp_threshold_orientation_compares_bit_lengths():
+    # j + 1 <= 2**(i + 1) is j.bit_length() <= i + 1 for 0 <= i < j
+    K = ExponentialThreshold()
+    for i in range(80):
+        for j in range(i + 1, 300):
+            want = Direction.FORWARD if j + 1 <= 1 << (i + 1) else Direction.BACKWARD
+            assert K.orient(i, j) is want, (i, j)
+
+
+def test_exp_threshold_orientation_builds_no_power():
+    # 2**(10**8 + 1) alone would take 12.5 MB
+    import tracemalloc
+
+    K = ExponentialThreshold()
+    tracemalloc.start()
+    try:
+        assert K.orient(10**8, 10**8 + 1) is Direction.FORWARD
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_exp_threshold_closed_count():
@@ -404,9 +437,9 @@ def test_read_injection_file(tmp_path):
     g = read_injection_file(str(q))
     assert g.eval(2) == OrdinalValue(0, 5)
     # a tail-only file is the tail's run layout, described by its path
-    assert g.finite_below and g.description == f"file:{q}"
+    assert _has_layout_oracle(g) and g.description == f"file:{q}"
     assert g.inversions_closed_form(6) == 6
-    assert not f.finite_below and f.inversions_closed_form(6) is None
+    assert not _has_layout_oracle(f) and f.inversions_closed_form(6) is None
 
 
 @pytest.mark.parametrize(

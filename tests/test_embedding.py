@@ -18,15 +18,16 @@ from tourlab.core import (
     interleaved_forest,
     out_stars,
     random_presented,
+    read_injection_file,
     tournament_from_name,
 )
+from tourlab.density import make_block_scheme
 from tourlab.embedding import (
     AlwaysInfiniteOracle,
     EmbeddingMap,
     FiniteBelowOracle,
     InfinitenessOracle,
     SplitTransitiveOracle,
-    TransitiveDownOracle,
     TransitiveUpOracle,
     check_pm_partition,
     classify_vertices,
@@ -45,6 +46,13 @@ from tourlab.errors import (
     PoolTooSmallError,
     SchemeError,
 )
+
+
+# tournaments induced by catalogue schemes at their default parameters
+SCHEME_HOSTS = [
+    OrdinalInjectionTournament(make_block_scheme(p).injection)
+    for p in ("nested-dip", "paired-high-low")
+]
 
 
 def path3():
@@ -303,10 +311,19 @@ def test_up_oracle():
 
 
 def test_down_oracle():
-    o = TransitiveDownOracle()
+    # the downward transitive tournament is the identity layout's, and its
+    # layout oracle hands out the upward tail past the highest anchor
+    o = infiniteness_oracle_for(TransitiveOmegaStar())
     assert o.decide([(2, "-")])
     assert not o.decide([(2, "+")])
     assert o.enumerate_in_class([(2, "-")], (), 2, "-") == [3, 4]
+    excl = {5, 7, 8}
+    for anchors in ([], [2], [9, 4], [0, 30]):
+        cons = [(v, "-") for v in anchors]
+        for start in (0, 3, 12, 40):
+            lo = max([v + 1 for v in anchors] + [start])
+            tail = [w for w in range(lo, lo + 10) if w not in excl][:4]
+            assert o.enumerate_in_class(cons, excl, 4, "-", start=start) == tail
 
 
 def test_split_oracle():
@@ -350,19 +367,80 @@ def test_finite_below_oracle():
         assert f.eval(w) > bound
 
 
-def test_oracle_dispatch():
+def test_oracle_dispatch(tmp_path):
     assert isinstance(infiniteness_oracle_for(TransitiveOmega()), TransitiveUpOracle)
-    assert isinstance(
-        infiniteness_oracle_for(TransitiveOmegaStar()), TransitiveDownOracle
-    )
     assert isinstance(
         infiniteness_oracle_for(SplitTransitive()), SplitTransitiveOracle
     )
-    K = OrdinalInjectionTournament(identity_injection())
-    assert isinstance(infiniteness_oracle_for(K), FiniteBelowOracle)
-    # the block tournament is the factorial layout's value order
-    assert isinstance(infiniteness_oracle_for(FactorialBlock()), FiniteBelowOracle)
+    # every injection with a run layout gets the layout oracle: the
+    # identity and factorial layouts, tail-only files and catalogue schemes
+    tail = tmp_path / "tail.inj"
+    tail.write_text("tail factorial\n")
+    for K in [
+        TransitiveOmegaStar(),
+        OrdinalInjectionTournament(identity_injection()),
+        FactorialBlock(),
+        tournament_from_name(f"injection:{tail}"),
+        *SCHEME_HOSTS,
+    ]:
+        assert isinstance(infiniteness_oracle_for(K), FiniteBelowOracle), K.name
+    # an override leaves no layout, so such a file keeps the scan
+    over = tmp_path / "over.inj"
+    over.write_text("tail factorial\n1 1 0\n")
+    K = tournament_from_name(f"injection:{over}")
+    assert isinstance(infiniteness_oracle_for(K), AlwaysInfiniteOracle)
+    with pytest.raises(ValueError):
+        FiniteBelowOracle(K)
     assert isinstance(infiniteness_oracle_for(SeededRandom(0)), AlwaysInfiniteOracle)
+
+
+def _value_order_scan(injection, constraints, exclusions, count, start):
+    """Slow reference for the layout oracle's pools: test indices from
+    `start` upward, one value at a time, and keep those neither excluded
+    nor anchors whose value exceeds every anchor's."""
+    anchors = {v for (v, _) in constraints}
+    bound = max((injection.eval(v) for v in anchors), default=None)
+    out: list[int] = []
+    w = start
+    while len(out) < count:
+        assert w < 20_000, "the hosts below hold every pool within reach"
+        if w not in exclusions and w not in anchors:
+            if bound is None or injection.eval(w) > bound:
+                out.append(w)
+        w += 1
+    return out
+
+
+# one host per layout shape; the small W0 ends nested-dip's nested phase
+# after four cycles (60 indices), so its plain blocks follow within reach
+LAYOUT_HOSTS = [
+    TransitiveOmegaStar(),
+    FactorialBlock(),
+    *(
+        OrdinalInjectionTournament(make_block_scheme(p, L0=4).injection)
+        for p in ("single-high", "paired-high-low")
+    ),
+    OrdinalInjectionTournament(
+        make_block_scheme("nested-dip", r=2, q=0.5, L0=4, W0=10**4).injection
+    ),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    K=st.sampled_from(LAYOUT_HOSTS),
+    anchors=st.lists(st.integers(0, 80), max_size=5, unique=True),
+    exclusions=st.sets(st.integers(0, 300), max_size=40),
+    start=st.integers(0, 150),
+    count=st.integers(1, 8),
+)
+def test_layout_oracle_matches_value_order_scan(K, anchors, exclusions, start, count):
+    constraints = [(v, "-") for v in anchors]
+    want = _value_order_scan(K.injection, constraints, exclusions, count, start)
+    got = infiniteness_oracle_for(K).enumerate_in_class(
+        constraints, exclusions, count, "-", start=start
+    )
+    assert got == want, K.name
 
 
 def test_classify_signs():
@@ -397,6 +475,7 @@ def _shipped_tournaments(tmp_path):
         FactorialBlock(),
         tournament_from_name(f"injection:{tail}"),
         OrdinalInjectionTournament(identity_injection()),
+        *SCHEME_HOSTS,
         SeededRandom(4),
     ]
 
@@ -437,6 +516,7 @@ CURSOR_ORACLES = [
     infiniteness_oracle_for(SplitTransitive()),
     infiniteness_oracle_for(FactorialBlock()),
     infiniteness_oracle_for(OrdinalInjectionTournament(identity_injection())),
+    *(infiniteness_oracle_for(K) for K in SCHEME_HOSTS),
     infiniteness_oracle_for(SeededRandom(9)),
 ]
 
@@ -497,22 +577,36 @@ def _counting(oracle_cls):
     return Counting
 
 
+def _factorial_tail(tmp_path):
+    p = tmp_path / "factorial-tail.inj"
+    p.write_text("tail factorial\n")
+    return OrdinalInjectionTournament(read_injection_file(str(p)))
+
+
 @pytest.mark.parametrize(
-    "K, oracle",
+    "G_factory, host, make_oracle, per_vertex",
     [
-        (SplitTransitive(), _counting(SplitTransitiveOracle)()),
-        (SeededRandom(5), _counting(AlwaysInfiniteOracle)(SeededRandom(5))),
+        (anti_path, lambda tmp: SplitTransitive(),
+         lambda K: _counting(SplitTransitiveOracle)(), 40),
+        (anti_path, lambda tmp: SeededRandom(5),
+         _counting(AlwaysInfiniteOracle), 40),
+        (interleaved_forest, _factorial_tail, _counting(FiniteBelowOracle), 150),
     ],
-    ids=["split", "random"],
+    ids=["split", "random", "factorial-tail"],
 )
-def test_spanning_oracle_work_is_linear_in_the_horizon(K, oracle):
-    # 12 (split) and 18 (random) checks per vertex here; re-deciding the
-    # signed prefix or rescanning from vertex 0 on every step makes
-    # millions at this horizon
+def test_spanning_oracle_work_is_linear_in_the_horizon(
+    tmp_path, G_factory, host, make_oracle, per_vertex
+):
+    # 12 (split), 18 (random) and 85 (factorial tail) checks per vertex
+    # here; re-deciding the signed prefix, rescanning from vertex 0 on
+    # every step or scanning the value order index by index makes many
+    # more at this horizon
     horizon = 3600
-    res = spanning_embed(anti_path(), K, oracle=oracle, horizon=horizon)
+    K = host(tmp_path)
+    oracle = make_oracle(K)
+    res = spanning_embed(G_factory(), K, oracle=oracle, horizon=horizon)
     assert all(res.phi.has_target(k) for k in range(horizon))
-    assert oracle.work <= 40 * horizon
+    assert oracle.work <= per_vertex * horizon
 
 
 def test_classify_detects_lying_oracle():
@@ -631,4 +725,16 @@ def test_spanning_into_value_order_tournament():
     K = OrdinalInjectionTournament(FactorialBlock().injection)
     res = spanning_embed(anti_path(), K, horizon=12)
     assert all(res.phi.has_target(k) for k in range(12))
+    assert res.phi.is_valid(anti_path())
+
+
+@pytest.mark.parametrize(
+    "K", [FactorialBlock(), *SCHEME_HOSTS], ids=lambda K: K.name
+)
+def test_anti_path_covers_value_order_hosts(K):
+    # one component: each step's pool lies above the values of the step
+    # before, so the anchors climb one block per step
+    horizon = 200
+    res = spanning_embed(anti_path(), K, horizon=horizon)
+    assert all(res.phi.has_target(k) for k in range(horizon))
     assert res.phi.is_valid(anti_path())
