@@ -10,13 +10,16 @@ status 1 is reserved for verdict-level disagreement under --expect.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .analysis import classify_unavoidability
 from .core import (
+    binomial2,
     presented_from_name,
     read_graph_file,
     read_injection_file,
@@ -43,6 +46,7 @@ from .errors import (
 )
 
 DEFAULT_BUDGET = 10_000
+_CSV_CHUNK = 4096
 
 _ERROR_CODES = [
     (GraphFormatError, "graph-format"),
@@ -124,10 +128,28 @@ def _resolve_injection(arg: str):
     return _parse_scheme_arg(arg)
 
 
-def _print_csv(profile) -> None:
-    print("n,forward_pairs,total_pairs,density")
-    for n, fwd, total, dens in profile.entries:
-        print(f"{n},{fwd},{total},{dens}")
+def _print_profile(profile) -> None:
+    """The CSV rows of a density profile, then its #RESULT line.
+
+    Each density is reduced with a gcd and the minimum is tracked by
+    integer cross-multiplication, so only the minimum becomes a Fraction.
+    Rows are written in chunks of _CSV_CHUNK lines, so the rendered text
+    never holds the whole CSV.
+    """
+    lines = ["n,forward_pairs,total_pairs,density"]
+    low_fwd, low_total = 1, 1  # no density exceeds 1
+    for n, fwd in profile.counts:
+        total = binomial2(n)
+        g = math.gcd(fwd, total)
+        dens = f"{fwd // g}" if g == total else f"{fwd // g}/{total // g}"
+        lines.append(f"{n},{fwd},{total},{dens}")
+        if fwd * low_total < low_fwd * total:
+            low_fwd, low_total = fwd, total
+        if len(lines) == _CSV_CHUNK:
+            print("\n".join(lines))
+            lines.clear()
+    lines.append(f"#RESULT rows={len(profile)},min_density={Fraction(low_fwd, low_total)}")
+    print("\n".join(lines))
 
 
 def _render_witness(classification) -> str:
@@ -185,19 +207,13 @@ def _run_embed(cfg: RunConfig) -> int:
 
 def _run_density(cfg: RunConfig) -> int:
     K = tournament_from_name(cfg.tournament)
-    profile = density_profile(K, cfg.nmax, stride=cfg.stride)
-    _print_csv(profile)
-    low = min(d for _, d in profile.samples)
-    print(f"#RESULT rows={len(profile)},min_density={low}")
+    _print_profile(density_profile(K, cfg.nmax, stride=cfg.stride))
     return 0
 
 
 def _run_inversions(cfg: RunConfig) -> int:
     f = _resolve_injection(cfg.injection)
-    profile = inversion_density_profile(f, cfg.nmax, stride=cfg.stride)
-    _print_csv(profile)
-    low = min(d for _, d in profile.samples)
-    print(f"#RESULT rows={len(profile)},min_density={low}")
+    _print_profile(inversion_density_profile(f, cfg.nmax, stride=cfg.stride))
     return 0
 
 

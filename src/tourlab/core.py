@@ -353,26 +353,16 @@ def pair_hash(seed: int, i: int, j: int) -> int:
     return h
 
 
-def _mix64_np(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(33)
-        x *= np.uint64(_MUR_A)
-        x ^= x >> np.uint64(33)
-        x *= np.uint64(_MUR_B)
-        x ^= x >> np.uint64(33)
-    return x
-
-
-def pair_hash_np(seed: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Vectorized pair_hash; must agree with the scalar form exactly."""
-    with np.errstate(over="ignore"):
-        h0 = _mix64(seed ^ _PHI64)
-        a = (i.astype(np.uint64) + np.uint64(1)) * np.uint64(_MIX_A)
-        h = _mix64_np(np.uint64(h0) ^ a)
-        b = (j.astype(np.uint64) + np.uint64(1)) * np.uint64(_MIX_B)
-        h = _mix64_np(h ^ b)
-    return h
+def _mix64_inplace(x: np.ndarray) -> None:
+    """`_mix64` applied to every entry of a uint64 array, in place."""
+    shifted = x >> np.uint64(33)
+    x ^= shifted
+    x *= np.uint64(_MUR_A)
+    np.right_shift(x, np.uint64(33), out=shifted)
+    x ^= shifted
+    x *= np.uint64(_MUR_B)
+    np.right_shift(x, np.uint64(33), out=shifted)
+    x ^= shifted
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +406,18 @@ class TournamentOracle:
             dtype=bool,
             count=j,
         )
+
+    def forward_tile(self, j0: int, j1: int) -> np.ndarray:
+        """Boolean block over the rows j0 <= j < j1: row r is
+        `forward_row(j0 + r)`, padded with False to width j1 - 1.
+
+        Stacks `forward_row`; families that can produce many rows at once
+        override it.
+        """
+        tile = np.zeros((j1 - j0, max(j1 - 1, 0)), dtype=bool)
+        for r, j in enumerate(range(j0, j1)):
+            tile[r, :j] = self.forward_row(j)
+        return tile
 
     def forward_pairs_upto(self, n: int) -> Optional[int]:
         """Closed-form count of forward pairs inside the first n vertices.
@@ -514,11 +516,19 @@ class ExponentialThreshold(TournamentOracle):
 
 class SeededRandom(TournamentOracle):
     """A random-looking tournament: each pair is an independent fair coin
-    keyed by (seed, min, max), so orientations are pure and replayable."""
+    keyed by (seed, min, max), so orientations are pure and replayable.
+
+    Of the three mixing rounds of `pair_hash`, the first two depend on the
+    seed and the smaller index only.  Their result is kept for every index
+    below the widest tile asked for so far, in an array grown by doubling,
+    so a tile costs one xor and one mixing round per pair.
+    """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self.name = f"random:{self.seed}"
+        self._h0 = np.uint64(_mix64((self.seed & _MASK64) ^ _PHI64))
+        self._by_smaller = np.zeros(0, dtype=np.uint64)
 
     def _orient_lt(self, i, j):
         return (
@@ -527,12 +537,30 @@ class SeededRandom(TournamentOracle):
             else Direction.BACKWARD
         )
 
+    def _smaller_rounds(self, n: int) -> np.ndarray:
+        if self._by_smaller.shape[0] < n:
+            m = max(n, 2 * self._by_smaller.shape[0])
+            h = np.arange(1, m + 1, dtype=np.uint64)
+            h *= np.uint64(_MIX_A)
+            h ^= self._h0
+            _mix64_inplace(h)
+            self._by_smaller = h
+        return self._by_smaller[:n]
+
+    def forward_tile(self, j0, j1):
+        w = max(j1 - 1, 0)
+        larger = np.arange(j0 + 1, j1 + 1, dtype=np.uint64)
+        larger *= np.uint64(_MIX_B)
+        h = np.bitwise_xor(self._smaller_rounds(w), larger[:, None])
+        _mix64_inplace(h)
+        h &= np.uint64(1)
+        tile = h.astype(bool)
+        if w > j0:  # only i < j is a pair; every column below j0 is one
+            tile[:, j0:] &= np.tri(j1 - j0, w - j0, -1, dtype=bool)
+        return tile
+
     def forward_row(self, j):
-        if j == 0:
-            return np.zeros(0, dtype=bool)
-        i = np.arange(j, dtype=np.uint64)
-        h = pair_hash_np(self.seed, i, np.full(j, j, dtype=np.uint64))
-        return (h & np.uint64(1)).astype(bool)
+        return self.forward_tile(j, j + 1)[0]
 
 
 class OrdinalInjectionTournament(TournamentOracle):

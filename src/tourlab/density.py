@@ -5,7 +5,9 @@ injection has its forward pairs exactly at the injection's inversions, so
 prefix densities of injection tournaments reduce to inversion counting.
 One dispatch decides how every prefix count is made: a closed form when
 the tournament has one, the counting kernel for other injection
-tournaments, and a sum of forward rows otherwise.
+tournaments, and a sum of forward rows otherwise, taken in tiles of a
+fixed number of pairs; rank decomposition and its dominance check walk
+the same tiles.
 Rank decomposition runs the reduction the other way: it extracts an
 injection from an arbitrary finite prefix whose induced tournament
 dominates the prefix pairwise.
@@ -45,6 +47,8 @@ from .core import (
     OrdinalInjectionTournament,
     OrdinalValue,
     TournamentOracle,
+    binomial2,
+    exact_density,
     _factorial_runs,
     _identity_runs,
     _LayoutInjection,
@@ -81,24 +85,41 @@ __all__ = [
 class DensityProfile:
     """Exact forward-pair densities of one tournament at sampled prefixes.
 
-    Each entry is (n, forward_pairs, total_pairs, density) with the density
-    a Fraction equal to forward_pairs / C(n, 2).
+    `counts` holds (n, forward_pairs) per sampled prefix, as integers;
+    each entry is (n, forward_pairs, total_pairs, density) with the
+    density a Fraction equal to forward_pairs / C(n, 2), built when asked.
     """
 
     name: str
-    entries: tuple[tuple[int, int, int, Fraction], ...]
+    counts: tuple[tuple[int, int], ...]
+
+    @property
+    def entries(self) -> tuple[tuple[int, int, int, Fraction], ...]:
+        return tuple((n, f, binomial2(n), exact_density(f, n)) for n, f in self.counts)
 
     @property
     def samples(self) -> list[tuple[int, Fraction]]:
-        return [(n, d) for n, _, _, d in self.entries]
+        return [(n, exact_density(f, n)) for n, f in self.counts]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.counts)
 
 
-def _entry(n: int, forward: int) -> tuple[int, int, int, Fraction]:
-    total = n * (n - 1) // 2
-    return (n, forward, total, Fraction(forward, total))
+# elements of one tile of forward rows: the row walks below hold O(tile)
+# memory whatever the prefix, and a tile's uint64 work arrays stay in cache
+TILE_ELEMENTS = 1 << 16
+
+
+def _tiles(n: int) -> list[tuple[int, int]]:
+    """Consecutive row ranges [j0, j1) covering 1 <= j < n, each tile of
+    rows of width j1 - 1 within TILE_ELEMENTS (but at least one row)."""
+    side = math.isqrt(TILE_ELEMENTS)
+    out, j0 = [], 1
+    while j0 < n:
+        j1 = min(n, j0 + max(1, TILE_ELEMENTS // (j0 + side)))
+        out.append((j0, j1))
+        j0 = j1
+    return out
 
 
 def _sample_points(n_max: int, stride: int) -> list[int]:
@@ -119,18 +140,21 @@ def _forward_counts(K: TournamentOracle, points: list[int]) -> list[int]:
     The one place that decides how to count: the family's closed form when
     it has one (an injection tournament on a catalogue scheme reads its
     run layout), the inversion kernel for any other injection tournament,
-    and forward rows summed up to the last point otherwise.
+    and forward rows summed tile by tile up to the last point otherwise.
     """
     if K.forward_pairs_upto(2) is not None:
         return [int(K.forward_pairs_upto(m)) for m in points]
     if isinstance(K, OrdinalInjectionTournament):
         cum = inversion_prefix(K.injection, points[-1])
         return [int(cum[m - 2]) for m in points]
-    counts, total, prev = [], 0, 1
-    for m in points:
-        total += sum(int(K.forward_row(j).sum()) for j in range(prev, m))
-        counts.append(total)
-        prev = m
+    counts, total, k = [], 0, 0
+    for j0, j1 in _tiles(points[-1]):
+        # below_row[r]: forward pairs in the rows j0 .. j0 + r
+        below_row = np.cumsum(np.count_nonzero(K.forward_tile(j0, j1), axis=1))
+        while k < len(points) and points[k] <= j1:
+            counts.append(total + int(below_row[points[k] - j0 - 1]))
+            k += 1
+        total += int(below_row[-1])
     return counts
 
 
@@ -149,7 +173,7 @@ def forward_pair_count(K: TournamentOracle, n: int) -> int:
 def density_profile(K: TournamentOracle, n_max: int, stride: int = 1) -> DensityProfile:
     """Densities of K at every stride multiple in [2, n_max], plus n_max."""
     pts = _sample_points(n_max, stride)
-    return DensityProfile(K.name, tuple(map(_entry, pts, _forward_counts(K, pts))))
+    return DensityProfile(K.name, tuple(zip(pts, _forward_counts(K, pts))))
 
 
 def inversion_count(f: InjectionSpec, n: int) -> int:
@@ -170,7 +194,7 @@ def inversion_density_profile(
     density profile of the tournament induced by f, entry by entry."""
     K = OrdinalInjectionTournament(f.injection if isinstance(f, BlockScheme) else f)
     pts = _sample_points(n_max, stride)
-    return DensityProfile(K.name, tuple(map(_entry, pts, _forward_counts(K, pts))))
+    return DensityProfile(K.name, tuple(zip(pts, _forward_counts(K, pts))))
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +236,17 @@ def rank_decompose(K: TournamentOracle, n: int) -> RankDecomposition:
     if n < 1:
         raise ValueError("cannot decompose an empty prefix")
     alpha = np.zeros(n, dtype=np.int64)
-    # downward sweep: by the time j is reached, every larger index has
-    # raised its forward in-neighbours above itself, so alpha[j] is final
-    for j in range(n - 1, 0, -1):
-        head = alpha[:j]
-        np.maximum(head, np.where(K.forward_row(j), alpha[j] + 1, 0), out=head)
+    # downward sweep, one tile at a time: by the time row j is reached,
+    # every larger index has raised its forward in-neighbours above
+    # itself, so alpha[j] is final
+    for j0, j1 in reversed(_tiles(n)):
+        tile = K.forward_tile(j0, j1)
+        for j in range(j1 - 1, j0, -1):  # rows raising indices inside the tile
+            inside = alpha[j0:j]
+            np.maximum(inside, np.where(tile[j - j0, j0:j], alpha[j] + 1, 0), out=inside)
+        # then every index below the tile at once
+        raised = np.where(tile[:, :j0], alpha[j0:j1, None] + 1, 0).max(axis=0)
+        np.maximum(alpha[:j0], raised, out=alpha[:j0])
     levels = int(alpha.max()) + 1
     frozen = alpha.copy()
     frozen.setflags(write=False)
@@ -252,9 +282,11 @@ def dominance_check(K: TournamentOracle, d: RankDecomposition, n: int) -> bool:
             f"decomposition was computed for prefix {d.n}, not {n}"
         )
     alpha = d.alpha
-    for j in range(1, n):
-        row = K.forward_row(j)
-        if row.any() and not bool(np.all(alpha[:j][row] > alpha[j])):
+    for j0, j1 in _tiles(n):
+        # a forward pair (i, j) whose level does not drop from i to j
+        flat = alpha[None, : j1 - 1] <= alpha[j0:j1, None]
+        flat &= K.forward_tile(j0, j1)
+        if flat.any():
             return False
     return True
 

@@ -164,6 +164,37 @@ FROZEN_EMBEDS = [
 ]
 
 
+# sha256 of stdout, unchanged since each row built its density as a
+# Fraction and the rows were summed one forward row at a time
+FROZEN_PROFILES = [
+    (["density", "--tournament", "random:288545019", "--nmax", "3000", "--stride", "7"],
+     "0fc836b380fbe5265b6699bfda226ecaea72c6bbc7f9a7fe53ef061d042ac96d"),
+    (["density", "--tournament", "factorial-block", "--nmax", "20000"],
+     "c63263dd1be2439ef43613ab61e2b4cf326e1769a4113696bd47e791662317da"),
+    # every density renders as 1
+    (["density", "--tournament", "transitive-omega", "--nmax", "50"],
+     "1568d00b9f7b365529b776c83e4f646f88e1a2eed4bd3591376b303c1bc19600"),
+    # every density renders as 0
+    (["density", "--tournament", "transitive-omega-star", "--nmax", "50", "--stride", "9"],
+     "93def83919e7f57aa70da2cd4487c0480f0673f21deccaecb51df64c009ea04c"),
+    # a single row
+    (["density", "--tournament", "random:5", "--nmax", "5", "--stride", "50"],
+     "06afadce61b2dddc6e397cafc8f50bc60b7e2ee7d17854e348fca968b83e518d"),
+    (["inversions", "--injection", "{injection}", "--nmax", "40", "--stride", "3"],
+     "3c64507375aaa92e14bd4c85219b906c86d400df852f69e58cae52ac73d60d11"),
+]
+
+
+@pytest.mark.parametrize("args, digest", FROZEN_PROFILES, ids=[
+    "random", "factorial-block", "all-one", "all-zero", "one-row", "injection-file"])
+def test_profile_output_frozen(capsys, tmp_path, args, digest):
+    injection = tmp_path / "injection.txt"
+    injection.write_text("tail factorial\n3 1 0\n1 1 7\n9 2 2\n")
+    code, out, err = run_cli(capsys, *(a.format(injection=injection) for a in args))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("graph, tournament, digest", FROZEN_EMBEDS)
 def test_embed_output_frozen(capsys, graph, tournament, digest):
     code, out, _ = run_cli(

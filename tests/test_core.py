@@ -29,13 +29,13 @@ from tourlab.core import (
     interleaved_forest,
     out_stars,
     pair_hash,
-    pair_hash_np,
     presented_from_name,
     random_presented,
     read_graph_file,
     read_injection_file,
     tournament_from_name,
 )
+import tourlab.density as density
 from tourlab.embedding import FiniteBelowOracle, infiniteness_oracle_for
 from tourlab.errors import (
     GraphFormatError,
@@ -245,10 +245,29 @@ def test_seeded_random_is_fair():
         assert z2 < 16.0, (seed, fwd, total)
 
 
-@given(st.integers(0, 2**32), st.integers(0, 10_000), st.integers(0, 10_000))
-def test_pair_hash_numpy_matches_scalar(seed, i, j):
-    got = pair_hash_np(seed, np.array([i], np.uint64), np.array([j], np.uint64))
-    assert int(got[0]) == pair_hash(seed, i, j)
+# first rows of the tiles the density walks take, and the doubling sizes of
+# the first-round array: the places a tile is most likely to go wrong
+_TILE_EDGES = sorted({j0 for j0, _ in density._tiles(4000)} | {2**k for k in range(13)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(-(2**64), 2**64),
+    st.sampled_from(_TILE_EDGES),
+    st.integers(-4, 4),
+    st.integers(0, 6),
+    st.integers(0, 4000),
+)
+def test_seeded_random_tile_matches_scalar_hash(seed, edge, shift, rows, warm):
+    K = SeededRandom(seed)
+    K.forward_tile(warm, warm + 1)  # a first-round array grown beforehand
+    j0 = max(0, edge + shift)
+    j1 = j0 + rows
+    tile = K.forward_tile(j0, j1)
+    assert tile.dtype == bool and tile.shape == (rows, max(j1 - 1, 0))
+    for r, j in enumerate(range(j0, j1)):
+        want = [i < j and bool(pair_hash(seed, i, j) & 1) for i in range(j1 - 1)]
+        assert tile[r].tolist() == want, (j0, j1, j)
 
 
 # ------------------------------------------------- injection tournaments

@@ -1,5 +1,6 @@
 """Density profiles, rank decompositions, and block-scheme search."""
 
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -18,6 +19,7 @@ from tourlab.core import (
     OrdinalInjectionTournament,
     OrdinalValue,
     SeededRandom,
+    TabulatedTournament,
     TournamentOracle,
     TransitiveOmega,
     TransitiveOmegaStar,
@@ -206,16 +208,111 @@ def test_rank_decompose_matches_direct_recursion(seed, n):
     assert dominance_check(K, d, n)
 
 
-def test_rank_decompose_memory_is_linear():
-    # the n x n forward matrix alone would take about 95 MB here
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda: rank_decompose(TransitiveOmega(), 10_000).levels == 10_000,
+        lambda: dominance_check(
+            SeededRandom(3), rank_decompose(SeededRandom(3), 10_000), 10_000
+        ),
+        lambda: len(density_profile(SeededRandom(3), 10_000, stride=100)) == 100,
+    ],
+    ids=["rank-transitive-omega", "rank-random", "profile-random"],
+)
+def test_rank_decompose_memory_is_linear(walk):
+    # the n x n forward matrix alone would take about 95 MB here; the row
+    # walks hold one tile at a time
     tracemalloc.start()
     try:
-        d = rank_decompose(TransitiveOmega(), 10_000)
+        ok = walk()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert d.levels == 10_000
+    assert ok
     assert peak < 10 * 2 ** 20
+
+
+# per-row walks, one forward row per numpy call: the slow references
+# for the tiled walks
+
+
+def rank_levels_by_rows(K, n):
+    alpha = np.zeros(n, dtype=np.int64)
+    for j in range(n - 1, 0, -1):
+        head = alpha[:j]
+        np.maximum(head, np.where(K.forward_row(j), alpha[j] + 1, 0), out=head)
+    return alpha
+
+
+def dominance_by_rows(K, alpha, n):
+    for j in range(1, n):
+        row = K.forward_row(j)
+        if row.any() and not bool(np.all(alpha[:j][row] > alpha[j])):
+            return False
+    return True
+
+
+@pytest.fixture(params=["budget", "small-budget"])
+def tile_budget(request, monkeypatch):
+    # a budget of 64 elements cuts small tournaments into many tiles
+    if request.param == "small-budget":
+        monkeypatch.setattr(density, "TILE_ELEMENTS", 64)
+
+
+@pytest.mark.parametrize(
+    "K, n",
+    [
+        (SeededRandom(11), 1),
+        (SeededRandom(11), 2),
+        (SeededRandom(11), 3000),
+        (TabulatedTournament.from_bits(40, 0x5DEECE66D ** 17), 40),
+        (TabulatedTournament.from_bits(9, 0b101100111010011100101100111011), 9),
+    ],
+    ids=["random-1", "random-2", "random-3000", "tabulated-40", "tabulated-9"],
+)
+@pytest.mark.usefixtures("tile_budget")
+def test_tiled_walks_match_row_walks(K, n):
+    # a tabulated tournament takes the default tile, stacked from its rows
+    d = rank_decompose(K, n)
+    want = rank_levels_by_rows(K, n)
+    assert d.alpha.tolist() == want.tolist()
+    assert d.levels == int(want.max()) + 1
+    assert dominance_by_rows(K, d.alpha, n)
+    assert dominance_check(K, d, n)
+
+
+def _plant_failure(K, d, j):
+    """d with alpha[j] raised to the lowest level among j's forward
+    in-neighbours: row j, and no other row, breaks dominance."""
+    row = K.forward_row(j)
+    assert row.any()
+    alpha = d.alpha.copy()
+    alpha[j] = alpha[:j][row].min()
+    return dataclasses.replace(d, alpha=alpha)
+
+
+@pytest.mark.parametrize("where", ["middle", "last"])
+def test_dominance_finds_a_failure_anywhere_in_a_tile(where):
+    K, n = SeededRandom(11), 3000
+    d = rank_decompose(K, n)
+    tiles = density._tiles(n)
+    j0, j1 = tiles[len(tiles) // 2]
+    assert j1 - j0 >= 3
+    j = (j0 + j1) // 2 if where == "middle" else j1 - 1
+    broken = _plant_failure(K, d, j)
+    assert not dominance_by_rows(K, broken.alpha, n)
+    assert not dominance_check(K, broken, n)
+
+
+@pytest.mark.usefixtures("tile_budget")
+def test_row_counts_match_row_sums_at_tile_edges():
+    K, n = SeededRandom(4), 1500
+    edges = [j0 for j0, _ in density._tiles(n)][1:]
+    points = sorted({m for e in edges for m in (e - 1, e, e + 1) if 2 <= m <= n} | {n})
+    by_rows = np.cumsum([0] + [int(K.forward_row(j).sum()) for j in range(1, n)])
+    assert density._forward_counts(K, points) == [int(by_rows[m - 1]) for m in points]
+    p = density_profile(K, n, stride=edges[0])
+    assert p.counts == tuple((m, int(by_rows[m - 1])) for m, _ in p.counts)
 
 
 def test_decomposition_levels_are_tight():
