@@ -13,7 +13,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -61,26 +60,6 @@ _ERROR_CODES = [
     (ValueError, "invalid-argument"),
     (OSError, "io"),
 ]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation.  Exactly one input source per run; numeric
-    parameters positive (the library re-checks its own bounds)."""
-
-    subcommand: str
-    source: Optional[str] = None
-    graph: Optional[str] = None
-    tournament: Optional[str] = None
-    injection: Optional[str] = None
-    horizon: Optional[int] = None
-    nmax: Optional[int] = None
-    stride: int = 1
-    window: Optional[tuple[int, int]] = None
-    patterns: Optional[tuple[str, ...]] = None
-    budget: int = DEFAULT_BUDGET
-    expect: Optional[str] = None
-    oracle: str = "auto"
 
 
 def _default_budget() -> int:
@@ -166,9 +145,9 @@ def _render_witness(classification) -> str:
     return f"{kind}:{payload}"
 
 
-def _run_analyze(cfg: RunConfig) -> int:
-    G = _load_graph(cfg.source)
-    result = classify_unavoidability(G, budget=cfg.budget)
+def _run_analyze(args: argparse.Namespace) -> int:
+    G = _load_graph(args.source)
+    result = classify_unavoidability(G, budget=args.budget)
     witness = _render_witness(result)
     line = f"verdict={result.verdict}"
     if witness:
@@ -178,21 +157,21 @@ def _run_analyze(cfg: RunConfig) -> int:
     print(f"graph={G.name}")
     print(line)
     print(f"#RESULT {result.verdict},{witness}")
-    if cfg.expect is not None and result.verdict != cfg.expect:
+    if args.expect is not None and result.verdict != args.expect:
         return 1
     return 0
 
 
-def _run_embed(cfg: RunConfig) -> int:
-    G = _load_graph(cfg.graph)
-    K = tournament_from_name(cfg.tournament)
-    oracle = AlwaysInfiniteOracle(K) if cfg.oracle == "always-infinite" else None
+def _run_embed(args: argparse.Namespace) -> int:
+    G = _load_graph(args.graph)
+    K = tournament_from_name(args.tournament)
+    oracle = AlwaysInfiniteOracle(K) if args.oracle == "always-infinite" else None
     result = spanning_embed(
-        G, K, oracle=oracle, horizon=cfg.horizon, budget=cfg.budget
+        G, K, oracle=oracle, horizon=args.horizon, budget=args.budget
     )
     offset = 1 if G.is_finite else 0  # finite graphs come from 1-based files
     lines = [f"{g + offset} {result.phi[g]}" for g in sorted(result.phi.mapping)]
-    covered = sum(1 for k in range(cfg.horizon) if result.phi.has_target(k))
+    covered = sum(1 for k in range(args.horizon) if result.phi.has_target(k))
     valid = "true" if result.phi.is_valid(G) else "false"
     cells = ";".join(
         f"{m.id}:{m.frontier}{m.cells.cell_type(m.frontier)}" for m in result.machines
@@ -205,21 +184,23 @@ def _run_embed(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_density(cfg: RunConfig) -> int:
-    K = tournament_from_name(cfg.tournament)
-    _print_profile(density_profile(K, cfg.nmax, stride=cfg.stride))
+def _run_density(args: argparse.Namespace) -> int:
+    K = tournament_from_name(args.tournament)
+    _print_profile(density_profile(K, args.nmax, stride=args.stride))
     return 0
 
 
-def _run_inversions(cfg: RunConfig) -> int:
-    f = _resolve_injection(cfg.injection)
-    _print_profile(inversion_density_profile(f, cfg.nmax, stride=cfg.stride))
+def _run_inversions(args: argparse.Namespace) -> int:
+    f = _resolve_injection(args.injection)
+    _print_profile(inversion_density_profile(f, args.nmax, stride=args.stride))
     return 0
 
 
-def _run_optimize(cfg: RunConfig) -> int:
-    patterns = cfg.patterns or BLOCK_PATTERNS
-    scheme, report = optimize_scheme(patterns, cfg.horizon, window=cfg.window)
+def _run_optimize(args: argparse.Namespace) -> int:
+    patterns = [p.strip() for p in (args.patterns or "").split(",") if p.strip()]
+    scheme, report = optimize_scheme(
+        patterns or BLOCK_PATTERNS, args.horizon, window=args.window
+    )
     print(f"pattern={scheme.pattern}")
     for key, value in sorted(scheme.params.items()):
         print(f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}")
@@ -242,10 +223,10 @@ _RUNNERS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one configured invocation; returns the exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed invocation; returns the exit status."""
     try:
-        return _RUNNERS[cfg.subcommand](cfg)
+        return _RUNNERS[args.subcommand](args)
     except tuple(cls for cls, _ in _ERROR_CODES) as e:
         for cls, code in _ERROR_CODES:
             if isinstance(e, cls):
@@ -311,39 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    budget = getattr(args, "budget", None)
-    if budget is None:
-        budget = _default_budget()
-    patterns = None
-    if getattr(args, "patterns", None):
-        patterns = tuple(s.strip() for s in args.patterns.split(",") if s.strip())
-    return RunConfig(
-        subcommand=args.subcommand,
-        source=getattr(args, "source", None),
-        graph=getattr(args, "graph", None),
-        tournament=getattr(args, "tournament", None),
-        injection=getattr(args, "injection", None),
-        horizon=getattr(args, "horizon", None),
-        nmax=getattr(args, "nmax", None),
-        stride=getattr(args, "stride", 1),
-        window=getattr(args, "window", None),
-        patterns=patterns,
-        budget=budget,
-        expect=getattr(args, "expect", None),
-        oracle=getattr(args, "oracle", "auto"),
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        # also for subcommands without --budget, so a bad TOURLAB_BUDGET
+        # fails every run that does not name a budget
+        if getattr(args, "budget", None) is None:
+            args.budget = _default_budget()
     except ValueError as e:
         print(f"#ERROR invalid-argument: {e}", file=sys.stderr)
         return 2
-    return run(cfg)
+    return run(args)
 
 
 if __name__ == "__main__":

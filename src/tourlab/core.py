@@ -70,10 +70,11 @@ class OrdinalValue:
 class InjectionSpec:
     """An injection from the naturals into ordinal values below omega*omega.
 
-    `eval` must be a pure total function.  Injectivity cannot be certified
-    up front for a lazily given map, so it is checked on demand: whenever two
-    distinct indices are observed to share a value, MalformedInjectionError
-    is raised.
+    `eval` must be a pure total function, so its values are not kept.
+    Injectivity cannot be certified up front for a lazily given map, so it
+    is checked on demand: each value evaluated is recorded with the first
+    index that gave it, and whenever two distinct indices are observed to
+    share a value, MalformedInjectionError is raised.
 
     `inversions_closed_form(n)` is None here: a prefix count needs the
     values.  A layout-backed injection overrides it with the count read off
@@ -83,22 +84,15 @@ class InjectionSpec:
     def __init__(self, eval_fn: Callable[[int], OrdinalValue], description: str = ""):
         self._eval_fn = eval_fn
         self.description = description
-        self._cache: dict[int, OrdinalValue] = {}
         self._seen: dict[OrdinalValue, int] = {}
 
     def eval(self, i: int) -> OrdinalValue:
         if i < 0:
             raise ValueError("indices are non-negative")
-        v = self._cache.get(i)
-        if v is None:
-            v = self._eval_fn(i)
-            prev = self._seen.get(v)
-            if prev is not None and prev != i:
-                raise MalformedInjectionError(
-                    f"indices {prev} and {i} share the value {v}"
-                )
-            self._cache[i] = v
-            self._seen[v] = i
+        v = self._eval_fn(i)
+        prev = self._seen.setdefault(v, i)
+        if prev != i:
+            raise MalformedInjectionError(f"indices {prev} and {i} share the value {v}")
         return v
 
     def values(self, n: int) -> list[OrdinalValue]:
@@ -329,6 +323,24 @@ class _LayoutInjection(InjectionSpec):
 def identity_injection() -> InjectionSpec:
     """f(i) = (0, i); the induced tournament is a copy of the reverse chain."""
     return _LayoutInjection(_identity_runs(), "identity")
+
+
+def _with_overrides(
+    runs: Iterator[_Run], table: dict[int, OrdinalValue], description: str
+) -> InjectionSpec:
+    """A layout tail with finitely many indices overridden: index i takes
+    table[i] when the table holds i, and (0, its layout value) otherwise.
+    With an empty table this is the layout's own injection, which keeps the
+    layout's closed-form counts and exact oracle."""
+    if not table:
+        return _LayoutInjection(runs, description)
+    tail = _Layout(runs)
+
+    def f(i: int) -> OrdinalValue:
+        got = table.get(i)
+        return got if got is not None else OrdinalValue(0, tail.value(i))
+
+    return InjectionSpec(f, description)
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +582,16 @@ class OrdinalInjectionTournament(TournamentOracle):
     def __init__(self, injection: InjectionSpec):
         self.injection = injection
         self.name = f"injection:{injection.description or 'anonymous'}"
+        # a layout is injective by construction, so its integer values are
+        # compared without building an ordinal or checking injectivity
+        self._value = (
+            injection.layout.value
+            if isinstance(injection, _LayoutInjection)
+            else injection.eval
+        )
 
     def _orient_lt(self, i, j):
-        fi, fj = self.injection.eval(i), self.injection.eval(j)
-        return Direction.FORWARD if fi > fj else Direction.BACKWARD
+        return Direction.FORWARD if self._value(i) > self._value(j) else Direction.BACKWARD
 
     def forward_pairs_upto(self, n):
         return self.injection.inversions_closed_form(n)
@@ -1041,16 +1059,7 @@ def read_injection_file(path: str) -> InjectionSpec:
             overrides[i - 1] = OrdinalValue(major, minor)
     if tail_name not in _TAIL_RUNS:
         raise GraphFormatError(f"{path}: unknown tail scheme {tail_name!r}")
-    description = f"file:{path}"
-    if not overrides:
-        return _LayoutInjection(_TAIL_RUNS[tail_name](), description)
-    tail = _Layout(_TAIL_RUNS[tail_name]())
-
-    def f(i: int) -> OrdinalValue:
-        got = overrides.get(i)
-        return got if got is not None else OrdinalValue(0, tail.value(i))
-
-    return InjectionSpec(f, description=description)
+    return _with_overrides(_TAIL_RUNS[tail_name](), overrides, f"file:{path}")
 
 
 def binomial2(n: int) -> int:

@@ -54,6 +54,7 @@ from .core import (
     _LayoutInjection,
     _Run,
     _stacked_runs,
+    _with_overrides,
 )
 from .counting import inversion_prefix
 from .errors import SchemeError
@@ -193,8 +194,7 @@ def inversion_density_profile(
     """Inversion densities of f at stride multiples up to n_max: the
     density profile of the tournament induced by f, entry by entry."""
     K = OrdinalInjectionTournament(f.injection if isinstance(f, BlockScheme) else f)
-    pts = _sample_points(n_max, stride)
-    return DensityProfile(K.name, tuple(zip(pts, _forward_counts(K, pts))))
+    return density_profile(K, n_max, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -247,25 +247,16 @@ def rank_decompose(K: TournamentOracle, n: int) -> RankDecomposition:
         # then every index below the tile at once
         raised = np.where(tile[:, :j0], alpha[j0:j1, None] + 1, 0).max(axis=0)
         np.maximum(alpha[:j0], raised, out=alpha[:j0])
-    levels = int(alpha.max()) + 1
-    frozen = alpha.copy()
-    frozen.setflags(write=False)
-    description = f"rank-decomposition[{K.name}:{n}]"
-    if levels == 1:
-        # every value is (0, i), inside the prefix and beyond it
-        inj: InjectionSpec = _LayoutInjection(_identity_runs(), description)
-    else:
-
-        def f(i: int) -> OrdinalValue:
-            if i < n:
-                return OrdinalValue(int(frozen[i]), i)
-            # beyond the prefix the map continues at level zero, which keeps
-            # it total and injective without disturbing pairs inside [n]
-            return OrdinalValue(0, i)
-
-        inj = InjectionSpec(f, description=description)
+    alpha.setflags(write=False)
+    # the identity layout gives every index i the value (0, i), so only the
+    # indices above level zero override it; beyond the prefix the map stays
+    # at level zero, which keeps it total and injective without disturbing
+    # pairs inside [n]
+    lifted = np.flatnonzero(alpha).tolist()
+    table = {i: OrdinalValue(a, i) for i, a in zip(lifted, alpha[lifted].tolist())}
+    inj = _with_overrides(_identity_runs(), table, f"rank-decomposition[{K.name}:{n}]")
     return RankDecomposition(
-        n=n, alpha=frozen, levels=levels, source=K.name, induced_injection=inj
+        n=n, alpha=alpha, levels=int(alpha.max()) + 1, source=K.name, induced_injection=inj
     )
 
 

@@ -63,10 +63,6 @@ class EmbeddingMap:
     def has_target(self, k: int) -> bool:
         return k in self._image
 
-    @property
-    def image(self) -> frozenset[int]:
-        return frozenset(self._image)
-
     def violations(self, G: Graph) -> list[tuple[int, int]]:
         """G-edges with both endpoints mapped whose images disagree with K."""
         bad = []
@@ -528,8 +524,12 @@ class FiniteBelowOracle(InfinitenessOracle):
     def enumerate_in_class(self, constraints, exclusions, count, klass, start=0):
         if not self.decide_in_class(constraints, klass):
             return []
-        # layout values are non-negative, so -1 bounds nothing
-        bound = max((self.layout.value(v) for (v, _) in constraints), default=-1)
+        bound = -1  # layout values are non-negative, so -1 bounds nothing
+        if constraints:
+            bound, top = max((self.layout.value(v), v) for (v, _) in constraints)
+            run = self.layout.runs[self.layout.cover(top + 1)]
+            if run.above == 0:  # every earlier index lies below the whole run
+                start = max(start, run.start)
         free = (w for w in self.layout.indices_above(bound, start) if w not in exclusions)
         return list(itertools.islice(free, count))
 

@@ -86,6 +86,11 @@ def test_env_budget_rejected(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "analyze", "anti-path")
     assert code == 2
     assert err.startswith("#ERROR invalid-argument:")
+    # also for a subcommand that takes no budget; a named budget wins
+    code, out, err = run_cli(capsys, "density", "--tournament", "transitive-omega", "--nmax", "5")
+    assert code == 2 and out == "" and err.startswith("#ERROR invalid-argument:")
+    code, _, err = run_cli(capsys, "analyze", "anti-path", "--budget", "50")
+    assert code == 0 and err == ""
 
 
 def test_analyze_unknown_family(capsys):
@@ -205,6 +210,26 @@ def test_embed_output_frozen(capsys, graph, tournament, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout: anti-path's anchors climb one factorial block per step,
+# and a file holding only `tail factorial` is the factorial layout
+FROZEN_LAYOUT_EMBEDS = [
+    (["--graph", "anti-path", "--tournament", "factorial-block", "--horizon", "500"],
+     "f2ff2b411a215688948b7be00336f21c19fed10a0115f307a47a988ff610f78e"),
+    (["--graph", "interleaved-forest", "--tournament", "injection:{tail}", "--horizon", "2000"],
+     "264db4503bc09cebc640ca4e6e8ab46c4f74559631b4e0c9cc6bf2f0b0de78d1"),
+]
+
+
+@pytest.mark.parametrize("args, digest", FROZEN_LAYOUT_EMBEDS,
+                         ids=["anti-path-factorial-block", "forest-factorial-tail-file"])
+def test_layout_embed_output_frozen(capsys, tmp_path, args, digest):
+    tail = tmp_path / "tail.inj"
+    tail.write_text("tail factorial\n")
+    code, out, err = run_cli(capsys, "embed", *(a.format(tail=tail) for a in args))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _factorial_block(v):
     """Index of the block holding v: blocks end at 1!, 2!, 3!, ..."""
     k, end = 0, 1
@@ -309,6 +334,21 @@ def test_inversions_file_index_given_twice(capsys, tmp_path):
     code, out, err = run_cli(capsys, "inversions", "--injection", str(p), "--nmax", "8")
     assert code == 2 and out == ""
     assert err == f"#ERROR graph-format: {p}:2: index 5 given twice\n"
+
+
+def test_inversions_file_clash_is_reported_once_reached(capsys, tmp_path):
+    # index 1 takes the value that the identity tail gives index 6
+    p = tmp_path / "clash.inj"
+    p.write_text("tail identity\n1 0 5\n")
+    code, out, err = run_cli(capsys, "inversions", "--injection", str(p), "--nmax", "5")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "#RESULT rows=4,min_density=2/5"
+    code, out, err = run_cli(capsys, "inversions", "--injection", str(p), "--nmax", "6")
+    assert code == 2 and out == ""
+    assert err == (
+        "#ERROR malformed-injection: indices 0 and 5 share the value "
+        "OrdinalValue(major=0, minor=5)\n"
+    )
 
 
 def test_inversions_bad_scheme(capsys):

@@ -112,6 +112,23 @@ def test_orient_pure_and_antisymmetric(i, j):
         assert K.orient(j, i) is d.reversed()
 
 
+@pytest.mark.parametrize("K", [TransitiveOmegaStar(), FactorialBlock()], ids=lambda K: K.name)
+def test_layout_orientation_keeps_no_values(K):
+    # a layout host compares integer values, so its queries leave nothing
+    # behind; 10^5 ordinal values kept per query would take about 25 MB
+    import tracemalloc
+
+    K.orient(0, 1)
+    tracemalloc.start()
+    try:
+        for i in range(1, 10**5):
+            K.orient(i, i + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # --------------------------------------------------------- factorial block
 
 

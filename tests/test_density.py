@@ -339,6 +339,80 @@ def test_induced_injection_inverts_forward_pairs():
             assert vals[int(i)] > vals[j]
 
 
+def _factorial_value(i):
+    """Tail value of i in the factorial layout by block arithmetic: the
+    block [a, b) holding i, blocks ending at 1!, 2!, 3!, ..., takes the
+    values a .. b - 1 in descending order."""
+    a, b, k = 0, 1, 1
+    while i >= b:
+        a, b, k = b, b * (k + 1), k + 1
+    return a + b - 1 - i
+
+
+def _override_reference(tail, overrides):
+    """Reference for an injection file: each index looked up in the
+    overrides, then in the tail at level zero."""
+
+    def f(i):
+        got = overrides.get(i)
+        return got if got is not None else OrdinalValue(0, tail(i))
+
+    return InjectionSpec(f, description="reference")
+
+
+def _rank_reference(alpha):
+    """Reference for a rank decomposition's injection: (level, i) inside
+    the prefix, (0, i) beyond it."""
+    n = len(alpha)
+    return InjectionSpec(
+        lambda i: OrdinalValue(int(alpha[i]), i) if i < n else OrdinalValue(0, i),
+        description="reference",
+    )
+
+
+@pytest.mark.parametrize(
+    "tail_name, tail, overrides",
+    [
+        # level-zero values that land between tail values: a swap, and
+        # values whose own tail index lies past the prefix
+        ("identity", lambda i: i, {3: (0, 4), 4: (0, 3), 7: (0, 500), 11: (0, 90)}),
+        ("factorial", _factorial_value, {2: (0, 2), 5: (0, 5), 9: (0, 60), 14: (0, 5000)}),
+        # higher levels, and overrides past the prefix
+        ("identity", lambda i: i, {0: (2, 0), 6: (1, 3), 45: (3, 3), 900: (1, 0)}),
+        ("factorial", _factorial_value, {3: (1, 0), 1: (1, 7), 9: (2, 2), 60: (0, 2)}),
+    ],
+    ids=["identity-level-zero", "factorial-level-zero", "identity-levels",
+         "factorial-levels"],
+)
+def test_injection_file_matches_override_reference(tmp_path, tail_name, tail, overrides):
+    n = 40
+    p = tmp_path / "over.inj"
+    p.write_text(
+        f"tail {tail_name}\n" + "".join(f"{i + 1} {a} {b}\n" for i, (a, b) in overrides.items())
+    )
+    f = read_injection_file(str(p))
+    ref = _override_reference(tail, {i: OrdinalValue(*v) for i, v in overrides.items()})
+    assert [f.eval(i) for i in range(n)] == [ref.eval(i) for i in range(n)]
+    got = inversion_density_profile(f, n, stride=3)
+    assert got.counts == inversion_density_profile(ref, n, stride=3).counts
+
+
+@pytest.mark.parametrize(
+    "K, n",
+    [(TransitiveOmegaStar(), 20), (SeededRandom(1), 30), (TransitiveOmega(), 15)],
+    ids=["one-level", "random", "chain"],
+)
+def test_rank_injection_matches_reference(K, n):
+    d = rank_decompose(K, n)
+    ref = _rank_reference(d.alpha)
+    m = n + 25  # past the prefix the map continues at level zero
+    assert [d.induced_injection.eval(i) for i in range(m)] == [ref.eval(i) for i in range(m)]
+    got = inversion_density_profile(d.induced_injection, m, stride=2)
+    assert got.counts == inversion_density_profile(ref, m, stride=2).counts
+    # an empty override table hands back the identity layout's injection
+    assert (d.induced_injection.inversions_closed_form(m) is not None) == (d.levels == 1)
+
+
 def test_dominance_rejects_foreign_prefix():
     d = rank_decompose(SeededRandom(1), 30)
     with pytest.raises(ValueError):

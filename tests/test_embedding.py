@@ -13,6 +13,7 @@ from tourlab.core import (
     SplitTransitive,
     TransitiveOmega,
     TransitiveOmegaStar,
+    _Layout,
     anti_path,
     identity_injection,
     interleaved_forest,
@@ -429,7 +430,10 @@ LAYOUT_HOSTS = [
 @settings(max_examples=400, deadline=None)
 @given(
     K=st.sampled_from(LAYOUT_HOSTS),
-    anchors=st.lists(st.integers(0, 80), max_size=5, unique=True),
+    # late anchors put the highest one in a late run, with `start` below it
+    anchors=st.lists(
+        st.one_of(st.integers(0, 80), st.integers(200, 700)), max_size=5, unique=True
+    ),
     exclusions=st.sets(st.integers(0, 300), max_size=40),
     start=st.integers(0, 150),
     count=st.integers(1, 8),
@@ -441,6 +445,26 @@ def test_layout_oracle_matches_value_order_scan(K, anchors, exclusions, start, c
         constraints, exclusions, count, "-", start=start
     )
     assert got == want, K.name
+
+
+def test_anti_path_into_factorial_walks_few_runs(monkeypatch):
+    # each pool walk starts at the run of the highest-valued anchor, which
+    # lies above every earlier index, so it reads a few runs rather than
+    # every run from the vertex being covered on
+    walked = 0
+    iter_runs = _Layout.iter_runs
+
+    def counting(self, k=0):
+        nonlocal walked
+        for run in iter_runs(self, k):
+            walked += 1
+            yield run
+
+    monkeypatch.setattr(_Layout, "iter_runs", counting)
+    horizon = 400
+    res = spanning_embed(anti_path(), FactorialBlock(), horizon=horizon)
+    assert all(res.phi.has_target(k) for k in range(horizon))
+    assert walked <= 3 * horizon
 
 
 def test_classify_signs():
