@@ -8,6 +8,7 @@ cannot settle come back as 'inconclusive' rather than a guess.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -50,6 +51,32 @@ def is_acyclic(G: FiniteOrientedGraph) -> tuple[bool, Optional[list[int]]]:
     return cycle is None, cycle
 
 
+def _least_first_peel(
+    waiting: dict[int, int], successors: Callable[[int], Sequence[int]]
+) -> list[int]:
+    """Least-first Kahn peel of waiting's key set, in placement order.
+
+    waiting[v] is the number of placements v waits for; it is counted down
+    in place as v's predecessors are placed.  The least ready vertex is
+    placed next, and placing v counts down each of successors(v) inside
+    the set; successors outside it are ignored.  A vertex whose count
+    never reaches zero, on a cycle or gated from outside the set, is left
+    out of the order.
+    """
+    ready = [v for v, d in waiting.items() if d == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in successors(v):
+            if w in waiting:
+                waiting[w] -= 1
+                if waiting[w] == 0:
+                    heapq.heappush(ready, w)
+    return order
+
+
 def _find_cycle(adj: Mapping[int, Sequence[int]]) -> Optional[list[int]]:
     """Directed cycle in the finite graph induced on adj's key set, or None.
 
@@ -64,17 +91,7 @@ def _find_cycle(adj: Mapping[int, Sequence[int]]) -> Optional[list[int]]:
         for w in outs:
             if w in indeg:
                 indeg[w] += 1
-    queue = [v for v, d in indeg.items() if d == 0]
-    i = 0
-    while i < len(queue):
-        v = queue[i]
-        i += 1
-        for w in adj[v]:
-            if w in indeg:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-    if len(queue) == len(indeg):
+    if len(_least_first_peel(indeg, adj.__getitem__)) == len(indeg):
         return None
     remaining = {v for v, d in indeg.items() if d > 0}
     rev: dict[int, list[int]] = {u: [] for u in remaining}

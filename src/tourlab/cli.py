@@ -31,7 +31,7 @@ from .density import (
     make_block_scheme,
     optimize_scheme,
 )
-from .embedding import AlwaysInfiniteOracle, spanning_embed
+from .embedding import spanning_embed
 from .errors import (
     BudgetExhaustedError,
     CycleFoundError,
@@ -165,10 +165,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
 def _run_embed(args: argparse.Namespace) -> int:
     G = _load_graph(args.graph)
     K = tournament_from_name(args.tournament)
-    oracle = AlwaysInfiniteOracle(K) if args.oracle == "always-infinite" else None
-    result = spanning_embed(
-        G, K, oracle=oracle, horizon=args.horizon, budget=args.budget
-    )
+    result = spanning_embed(G, K, horizon=args.horizon, budget=args.budget)
     offset = 1 if G.is_finite else 0  # finite graphs come from 1-based files
     lines = [f"{g + offset} {result.phi[g]}" for g in sorted(result.phi.mapping)]
     covered = sum(1 for k in range(args.horizon) if result.phi.has_target(k))
@@ -268,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="graph file or family name")
     p.add_argument("--tournament", required=True, help="tournament family")
     p.add_argument("--horizon", type=_positive, required=True)
-    p.add_argument("--oracle", choices=["auto", "always-infinite"], default="auto")
     p.add_argument("--budget", type=_positive, default=None)
 
     p = sub.add_parser("density", help="prefix density CSV for a tournament")

@@ -732,10 +732,10 @@ class PresentedGraph:
     """A countably infinite oriented graph given by a neighbor generator.
 
     `adjacency(v)` returns the pair (in_neighbors, out_neighbors) as finite
-    tuples and must be a pure total function; results are cached.  Claimed
-    properties are taken on trust by analyses that say so.  A generator that
-    knows it contains an infinite directed path can certify that, making the
-    avoidability of the graph decidable without exploration.
+    tuples and must be a pure total function; results are cached.  A
+    generator that knows it contains an infinite directed path can certify
+    that, making the avoidability of the graph decidable without
+    exploration.
     """
 
     is_finite = False
@@ -744,13 +744,11 @@ class PresentedGraph:
         self,
         adjacency: Callable[[int], tuple[Sequence[int], Sequence[int]]],
         name: str = "presented",
-        claimed: Iterable[str] = (),
         certified_infinite_path: bool = False,
         component_roots: Optional[Callable[[], Iterator[int]]] = None,
     ):
         self._adjacency = adjacency
         self.name = name
-        self.claimed = frozenset(claimed)
         self.certified_infinite_path = certified_infinite_path
         self.component_roots = component_roots
         self._cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -783,7 +781,6 @@ def forward_path() -> PresentedGraph:
     return PresentedGraph(
         adj,
         name="forward-path",
-        claimed={"acyclic"},
         certified_infinite_path=True,
     )
 
@@ -798,11 +795,7 @@ def anti_path() -> PresentedGraph:
             return ((), outs)
         return ((v - 1, v + 1), ())
 
-    return PresentedGraph(
-        adj,
-        name="anti-path",
-        claimed={"acyclic", "no-infinite-directed-path"},
-    )
+    return PresentedGraph(adj, name="anti-path")
 
 
 def out_stars() -> PresentedGraph:
@@ -823,7 +816,6 @@ def out_stars() -> PresentedGraph:
     return PresentedGraph(
         adj,
         name="out-stars",
-        claimed={"acyclic", "no-infinite-directed-path"},
         component_roots=roots,
     )
 
@@ -898,7 +890,6 @@ def interleaved_forest() -> PresentedGraph:
     return PresentedGraph(
         adj,
         name="interleaved-forest",
-        claimed={"acyclic", "no-infinite-directed-path"},
         component_roots=roots,
     )
 
@@ -964,11 +955,7 @@ def random_presented(seed: int, max_block: int = 6) -> PresentedGraph:
     presented.
     """
     chain = _RandomBlockChain(seed, max_block)
-    return PresentedGraph(
-        chain.adjacency,
-        name=f"random-graph:{seed}",
-        claimed={"acyclic", "no-infinite-directed-path"},
-    )
+    return PresentedGraph(chain.adjacency, name=f"random-graph:{seed}")
 
 
 _GRAPH_FAMILIES = {

@@ -491,7 +491,6 @@ class DensityBoundsReport:
     identifier: str
     min_window_density: Fraction
     window: tuple[int, int]
-    target: Fraction
     attained_at: int
 
 
@@ -554,7 +553,6 @@ def optimize_scheme(
     pattern_space: Iterable[str],
     horizon: int,
     window: Optional[tuple[int, int]] = None,
-    target: Fraction = Fraction(3, 4),
 ) -> tuple[BlockScheme, DensityBoundsReport]:
     """Search the catalogue for the scheme maximizing the window minimum.
 
@@ -597,8 +595,7 @@ def optimize_scheme(
     for _ in range(2):
         improved = False
         for params in _neighbor_params(best[2].params):
-            clean = {k: v for k, v in params.items() if k in ("r", "q", "L0", "W0")}
-            if consider(best[2].pattern, clean):
+            if consider(best[2].pattern, params):
                 improved = True
         if not improved:
             break
@@ -608,7 +605,6 @@ def optimize_scheme(
         identifier=scheme.describe(),
         min_window_density=dens,
         window=(n_lo, n_hi),
-        target=target,
         attained_at=at,
     )
     return scheme, report

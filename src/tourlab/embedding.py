@@ -8,12 +8,11 @@ out-neighbor (v -> w), a '-'-neighbor an in-neighbor (w -> v).
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Container, Iterator, Optional, Sequence, Union
 
-from .analysis import gamma, is_acyclic
+from .analysis import _least_first_peel, gamma, is_acyclic
 from .core import (
     FiniteOrientedGraph,
     OrdinalInjectionTournament,
@@ -98,33 +97,16 @@ def greedy_embed_transitive(
     else:
         raise ValueError("target must be one of the two transitive tournaments")
 
-    if G.is_finite:
-        ok, cycle = is_acyclic(G)
-        if not ok:
-            raise CycleFoundError("greedy embedding needs an acyclic graph", cycle)
-        span = range(G.n)
-    else:
-        span = range(horizon)
-
-    waiting: dict[int, int] = {}
-    ready: list[int] = []
-    for v in span:
-        d = len(gates(v))
-        waiting[v] = d
-        if d == 0:
-            heapq.heappush(ready, v)
+    span = range(G.n) if G.is_finite else range(horizon)
+    # every gate counts, so a vertex gated from beyond the span stays out
+    order = _least_first_peel({v: len(gates(v)) for v in span}, unlocks)
+    if G.is_finite and len(order) < G.n:
+        _, cycle = is_acyclic(G)
+        raise CycleFoundError("greedy embedding needs an acyclic graph", cycle)
 
     phi = EmbeddingMap(target)
-    pos = 0
-    while ready:
-        v = heapq.heappop(ready)
+    for pos, v in enumerate(order):
         phi.assign(v, pos)
-        pos += 1
-        for w in unlocks(v):
-            if w in waiting and w not in phi:
-                waiting[w] -= 1
-                if waiting[w] == 0:
-                    heapq.heappush(ready, w)
     return phi
 
 
@@ -301,8 +283,10 @@ def find_transitive_subtournament(
         if t == 1:
             return [cands[0]]
         pivot = cands[0]
-        losers = [w for w in cands[1:] if K.has_edge(pivot, w)]
-        winners = [w for w in cands[1:] if K.has_edge(w, pivot)]
+        losers: list[int] = []
+        winners: list[int] = []
+        for w in cands[1:]:  # a tournament orients each pair one way only
+            (losers if K.has_edge(pivot, w) else winners).append(w)
         if len(losers) >= len(winners):
             return [pivot] + solve(losers, t - 1)
         return solve(winners, t - 1) + [pivot]
@@ -336,17 +320,7 @@ def embed_finite_acyclic(
     chain = find_transitive_subtournament(K, pool, len(freeset))
 
     indeg = {v: sum(1 for u in G.in_neighbors(v) if u in freeset) for v in freeset}
-    ready = sorted(v for v in freeset if indeg[v] == 0)
-    heapq.heapify(ready)
-    topo: list[int] = []
-    while ready:
-        v = heapq.heappop(ready)
-        topo.append(v)
-        for w in G.out_neighbors(v):
-            if w in freeset:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    heapq.heappush(ready, w)
+    topo = _least_first_peel(indeg, G.out_neighbors)
 
     phi = EmbeddingMap(K)
     for g, k in pins.items():
@@ -704,17 +678,6 @@ def spanning_embed(
         root_stream = G.component_roots()
     else:
         root_stream = iter((0,))
-    roots_done = False
-
-    def next_root() -> Optional[int]:
-        nonlocal roots_done
-        if roots_done:
-            return None
-        try:
-            return next(root_stream)
-        except StopIteration:
-            roots_done = True
-            return None
 
     sign_stream = _sign_stream(oracle)
     signs: list[str] = []
@@ -725,7 +688,7 @@ def spanning_embed(
         return signs[v]
 
     def start_machine(k_vertex: int) -> bool:
-        r = next_root()
+        r = next(root_stream, None)
         if r is None:
             return False
         star = sign_of(k_vertex)
@@ -794,12 +757,13 @@ def spanning_embed(
         pool = oracle.enumerate_in_class(
             constraints, phi._image, need, new_diamond, start=k_vertex + 1
         )
-        sub = _induced_subgraph(G, chunk)
-        emb = embed_finite_acyclic(
-            sub.graph, K, pool, pins={sub.index[v_j]: k_vertex}
-        )
-        for local, k in emb.mapping.items():
-            phi.assign(sub.back[local], k)
+        # the chunk's graph numbers each vertex by its position in the chunk
+        local = {v: i for i, v in enumerate(chunk)}
+        edges = [(local[v], local[w]) for v in chunk for w in G.out_neighbors(v) if w in local]
+        sub = FiniteOrientedGraph(len(chunk), edges)
+        emb = embed_finite_acyclic(sub, K, pool, pins={local[v_j]: k_vertex})
+        for i, k in emb.mapping.items():
+            phi.assign(chunk[i], k)
         steps.append(SpanStep(k_vertex, m.id, f, i_j, v_j, tuple(chunk)))
         m.frontier = i_j
         return True
@@ -844,29 +808,6 @@ def _rotated(active: list[_Machine], shift: int) -> Iterator[_Machine]:
     n = len(active)
     for i in range(n):
         yield active[(shift + i) % n]
-
-
-@dataclass
-class _Sub:
-    graph: FiniteOrientedGraph
-    index: dict[int, int]
-    back: dict[int, int]
-
-
-def _induced_subgraph(G: Graph, vertices: list[int]) -> _Sub:
-    index = {v: i for i, v in enumerate(vertices)}
-    vset = set(vertices)
-    edges = [
-        (index[v], index[w])
-        for v in vertices
-        for w in G.out_neighbors(v)
-        if w in vset
-    ]
-    return _Sub(
-        FiniteOrientedGraph(len(vertices), edges),
-        index,
-        {i: v for v, i in index.items()},
-    )
 
 
 def _finite_component_roots(G: FiniteOrientedGraph) -> list[int]:

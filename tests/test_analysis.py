@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tourlab.analysis import (
     DEFAULT_BUDGET,
     Classification,
+    _least_first_peel,
     classify_unavoidability,
     gamma,
     is_acyclic,
@@ -79,6 +80,79 @@ def test_embedded_long_cycle_found():
     ok, cycle = is_acyclic(G)
     assert not ok
     _assert_cycle_valid(G, cycle)
+
+
+# ------------------------------------------------------------ the peel
+
+
+@st.composite
+def peel_inputs(draw, acyclic):
+    # a digraph on 0..n-1 and a member set; the peel sees every edge but
+    # waits only on predecessors inside the set
+    n = draw(st.integers(1, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.sets(pair.filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    if acyclic:  # orient every edge along a drawn order
+        rank = draw(st.permutations(range(n)))
+        edges = {(u, w) if rank[u] < rank[w] else (w, u) for u, w in edges}
+    members = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return n, edges, members
+
+
+def _peel(n, edges, members):
+    succ = {v: sorted(w for u, w in edges if u == v) for v in range(n)}
+    waiting = {v: sum(1 for u, w in edges if w == v and u in members) for v in members}
+    return _least_first_peel(waiting, succ.__getitem__)
+
+
+def _reference_order(edges, members):
+    # repeatedly place the least member whose predecessors in the set are
+    # all placed, until no member qualifies
+    order, placed = [], set()
+    while True:
+        ready = [
+            v for v in sorted(members - placed)
+            if all(u in placed for u, w in edges if w == v and u in members)
+        ]
+        if not ready:
+            return order
+        order.append(ready[0])
+        placed.add(ready[0])
+
+
+def _blocked_by_cycles(edges, members):
+    # members on a directed cycle inside the set, and all they reach there
+    def reach(v):
+        seen, todo = set(), [v]
+        while todo:
+            x = todo.pop()
+            for u, w in edges:
+                if u == x and w in members and w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return seen
+
+    reached = {v: reach(v) for v in members}
+    on_cycle = {v for v in members if v in reached[v]}
+    return on_cycle.union(*(reached[v] for v in on_cycle))
+
+
+@given(peel_inputs(acyclic=True))
+@settings(max_examples=200, deadline=None)
+def test_peel_is_least_first_on_dags(inputs):
+    n, edges, members = inputs
+    order = _peel(n, edges, members)
+    assert order == _reference_order(edges, members)
+    assert sorted(order) == sorted(members)
+
+
+@given(peel_inputs(acyclic=False))
+@settings(max_examples=200, deadline=None)
+def test_peel_stops_short_on_the_vertices_cycles_block(inputs):
+    n, edges, members = inputs
+    order = _peel(n, edges, members)
+    assert order == _reference_order(edges, members)
+    assert members - set(order) == _blocked_by_cycles(edges, members)
 
 
 # ------------------------------------------------------------------ gamma

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from tourlab.cli import main
-from tourlab.core import interleaved_forest
+from tourlab.core import interleaved_forest, tournament_from_name
+from tourlab.embedding import AlwaysInfiniteOracle, infiniteness_oracle_for
 
 
 @pytest.fixture
@@ -137,10 +138,12 @@ def test_embed_finite_file_uses_file_labels(capsys, tmp_path):
 
 
 def test_embed_always_infinite_oracle(capsys):
+    # random:3 has no exact oracle, so the scanning one serves it
+    K = tournament_from_name("random:3")
+    assert isinstance(infiniteness_oracle_for(K), AlwaysInfiniteOracle)
     code, out, _ = run_cli(
         capsys, "embed", "--graph", "anti-path",
         "--tournament", "random:3", "--horizon", "10",
-        "--oracle", "always-infinite",
     )
     assert code == 0
     assert "valid=true" in out

@@ -71,6 +71,7 @@ class OpaqueInjectionTournament(TournamentOracle):
     def __init__(self, f):
         self._f = f
         self.name = "opaque"
+        self._values = []  # f(0), f(1), ...; rows evaluate each index once
 
     def _orient_lt(self, i, j):
         return (
@@ -78,6 +79,12 @@ class OpaqueInjectionTournament(TournamentOracle):
             if self._f.eval(i) > self._f.eval(j)
             else Direction.BACKWARD
         )
+
+    def forward_row(self, j):
+        while len(self._values) <= j:
+            self._values.append(self._f.eval(len(self._values)))
+        vj = self._values[j]
+        return np.fromiter((v > vj for v in self._values[:j]), dtype=bool, count=j)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,31 @@ def test_transitive_extraction_dominating(seed):
             assert K.has_edge(chain[a], chain[b])
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(2, 6))
+def test_transitive_extraction_asks_one_query_per_candidate(seed, size):
+    class Counted(SeededRandom):
+        def orient(self, i, j):
+            asked.append(frozenset((i, j)))
+            return super().orient(i, j)
+
+    asked = []
+    pool = list(range(1 << size))
+    find_transitive_subtournament(Counted(seed), pool, size)
+    # replay the recursion on an uncounted copy: each level asks about
+    # every candidate but its pivot, once
+    K = SeededRandom(seed)
+    cands, expected = pool, 0
+    for _ in range(size - 1):
+        pivot, rest = cands[0], cands[1:]
+        expected += len(rest)
+        losers = [w for w in rest if K.has_edge(pivot, w)]
+        winners = [w for w in rest if K.has_edge(w, pivot)]
+        cands = losers if len(losers) >= len(winners) else winners
+    assert len(asked) == expected
+    assert len(set(asked)) == expected  # no pair is asked twice
+
+
 # --------------------------------------------------------- finite embedding
 
 
