@@ -67,14 +67,38 @@ class OrdinalValue:
             raise ValueError("ordinal components must be non-negative")
 
 
+def _int64_array(values) -> np.ndarray:
+    """`values` as an int64 array, or as objects when one exceeds int64."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
+
+
+def _value_order(values: np.ndarray) -> np.ndarray:
+    """The columns of `values` (rows: majors, minors) in ascending value
+    order, by one stable lexsort.  Equal neighbours there are a clash,
+    named as a walk of `InjectionSpec.eval` from index 0 would name it."""
+    order = np.lexsort(values[::-1])
+    tie = (np.diff(values[:, order], axis=1) == 0).all(axis=0)
+    if tie.any():
+        j = int(order[1:][tie].min())
+        p = int(np.flatnonzero((values == values[:, j : j + 1]).all(axis=0))[0])
+        v = OrdinalValue(*values[:, j].tolist())
+        raise MalformedInjectionError(f"indices {p} and {j} share the value {v}")
+    return order
+
+
 class InjectionSpec:
     """An injection from the naturals into ordinal values below omega*omega.
 
     `eval` must be a pure total function, so its values are not kept.
     Injectivity cannot be certified up front for a lazily given map, so it
-    is checked on demand: each value evaluated is recorded with the first
-    index that gave it, and whenever two distinct indices are observed to
-    share a value, MalformedInjectionError is raised.
+    is checked on demand: `eval` records each value with the first index
+    that gave it and raises MalformedInjectionError at a repeat.  A bulk
+    read checks the prefix it fills: `value_arrays(n)` holds it as rows of
+    majors and minors (int64 unless a component exceeds it), and the one
+    sort that ranks them names a clash as `eval` would.
 
     `inversions_closed_form(n)` is None here: a prefix count needs the
     values.  A layout-backed injection overrides it with the count read off
@@ -95,15 +119,19 @@ class InjectionSpec:
             raise MalformedInjectionError(f"indices {prev} and {i} share the value {v}")
         return v
 
+    def value_arrays(self, n: int) -> np.ndarray:
+        """f(0), ..., f(n-1) as rows of majors and minors, unchecked."""
+        vals = [self._eval_fn(i) for i in range(n)]
+        return _int64_array([[v.major for v in vals], [v.minor for v in vals]])
+
     def values(self, n: int) -> list[OrdinalValue]:
-        return [self.eval(i) for i in range(n)]
+        arrays = self.value_arrays(n)
+        _value_order(arrays)
+        return list(map(OrdinalValue, *arrays.tolist()))
 
     def inversions_closed_form(self, n: int) -> Optional[int]:
-        """Closed-form count of the pairs i < j < n with f(i) > f(j).
-
-        Returns None when no closed form is available; callers then rank
-        and count the values.
-        """
+        """The count of pairs i < j < n with f(i) > f(j) in closed form, or
+        None when there is none; callers then rank and count the values."""
         return None
 
     def __repr__(self):
@@ -231,29 +259,15 @@ class _Layout:
         run = self.runs[self.cover(i + 1)]
         return run.value(i - run.start)
 
-    def inversions(self, n: int) -> int:
-        if n < 2:
-            return 0
-        k = self.cover(n)
-        return self.inv[k] + self.runs[k].gained(n - self.starts[k])
-
-    def ranks(self, n: int) -> np.ndarray:
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        last = self.cover(n)
-        # index ranges in descending value order; each run enters as one
-        # range right under the `above` earlier entries that outrank it
-        order: list[tuple[int, int, bool]] = []
-        for run in self.runs[: last + 1]:
-            hi = min(n, run.start + run.length)
-            order.insert(_split_after(order, run.above), (run.start, hi, run.descending))
-        pos = np.concatenate(
-            [np.arange(lo, hi) if desc else np.arange(hi - 1, lo - 1, -1)
-             for lo, hi, desc in order]
-        )
-        ranks = np.empty(n, dtype=np.int64)
-        ranks[pos] = np.arange(n - 1, -1, -1, dtype=np.int64)
-        return ranks
+    def inversions(self, points: list[int]) -> list[int]:
+        """Inversions of each prefix in `points` (ascending), in one walk."""
+        self.cover(max(points[-1], 1))
+        out, k = [], self.cover(max(points[0], 1))
+        for m in points:
+            while self.starts[k] + self.runs[k].length < m:
+                k += 1
+            out.append(self.inv[k] + self.runs[k].gained(m - self.starts[k]))
+        return out
 
     def window_min(self, n_lo: int, n_hi: int) -> tuple[Fraction, int]:
         # run k holds the prefix lengths start+1 .. start+length
@@ -268,21 +282,6 @@ class _Layout:
                 if best_n < 0 or num * best_den < best_num * den:
                     best_num, best_den, best_n = num, den, n
         return Fraction(best_num, best_den), best_n
-
-
-def _split_after(order: list[tuple[int, int, bool]], m: int) -> int:
-    """Split `order` so that a range boundary falls after its first m
-    entries, and return the position of that boundary."""
-    k = 0
-    while m > 0:
-        lo, hi, desc = order[k]
-        if hi - lo > m:
-            mid = lo + m if desc else hi - m
-            parts = [(lo, mid), (mid, hi)] if desc else [(mid, hi), (lo, mid)]
-            order[k : k + 1] = [(x, y, desc) for x, y in parts]
-        m -= min(m, hi - lo)
-        k += 1
-    return k
 
 
 def _stacked_runs(sizes: Iterator[int]) -> Iterator[_Run]:
@@ -317,7 +316,16 @@ class _LayoutInjection(InjectionSpec):
         self.layout = layout
 
     def inversions_closed_form(self, n: int) -> int:
-        return self.layout.inversions(n)
+        return self.layout.inversions([n])[0]
+
+    def value_arrays(self, n: int) -> np.ndarray:
+        """(0, value(i)) for i < n, one progression per run."""
+        minors = [np.zeros(0, dtype=np.int64)]
+        for run in self.layout.runs[: self.layout.cover(n) + 1] if n else ():
+            m = min(n, run.start + run.length) - run.start
+            big = max(run.value(0), run.value(m - 1), run.step) >> 63
+            minors.append(run.value(np.arange(m, dtype=object if big else np.int64)))
+        return np.stack([np.zeros(n, dtype=np.int64), np.concatenate(minors)])
 
 
 def identity_injection() -> InjectionSpec:
@@ -325,22 +333,34 @@ def identity_injection() -> InjectionSpec:
     return _LayoutInjection(_identity_runs(), "identity")
 
 
-def _with_overrides(
-    runs: Iterator[_Run], table: dict[int, OrdinalValue], description: str
-) -> InjectionSpec:
-    """A layout tail with finitely many indices overridden: index i takes
-    table[i] when the table holds i, and (0, its layout value) otherwise.
-    With an empty table this is the layout's own injection, which keeps the
-    layout's closed-form counts and exact oracle."""
-    if not table:
-        return _LayoutInjection(runs, description)
-    tail = _Layout(runs)
+class _TableInjection(InjectionSpec):
+    """A layout tail with the indices table[0] overridden by the values
+    (table[1], table[2]); the columns are sorted by index, so a prefix is
+    the tail's runs plus one slice of the table."""
 
-    def f(i: int) -> OrdinalValue:
-        got = table.get(i)
-        return got if got is not None else OrdinalValue(0, tail.value(i))
+    def __init__(self, tail: _LayoutInjection, table: np.ndarray):
+        self.table = table[:, np.argsort(table[0], kind="stable")]
+        self.tail, self._index, self._tail_value = tail, self.table[0], tail.layout.value
+        super().__init__(self._lookup, tail.description)
 
-    return InjectionSpec(f, description)
+    def _lookup(self, i: int) -> OrdinalValue:
+        k = bisect.bisect_left(self._index, i)
+        if k < len(self._index) and self._index[k] == i:
+            return OrdinalValue(*self.table[1:, k].tolist())
+        return OrdinalValue(0, self._tail_value(i))
+
+    def value_arrays(self, n):
+        head = _int64_array(self.table[:, : np.searchsorted(self.table[0], n)])
+        out = self.tail.value_arrays(n).astype(head.dtype, copy=False)  # tails fit int64
+        out[:, head[0].astype(np.intp)] = head[1:]
+        return out
+
+
+def _with_overrides(runs: Iterator[_Run], table: np.ndarray, description: str) -> InjectionSpec:
+    """With an empty table, the layout's own injection, which keeps its
+    closed-form counts and exact oracle."""
+    tail = _LayoutInjection(runs, description)
+    return _TableInjection(tail, table) if table.shape[1] else tail
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +377,15 @@ def _mix64(x: int) -> int:
     return x
 
 
+def _keyed_round(h: int, k: int, mult: int) -> int:
+    """One mixing round of h keyed by the index k."""
+    return _mix64(h ^ (((k + 1) * mult) & _MASK64))
+
+
 def pair_hash(seed: int, i: int, j: int) -> int:
     """Deterministic 64-bit hash of an unordered index pair under a seed."""
     h = _mix64((seed & _MASK64) ^ _PHI64)
-    h = _mix64(h ^ (((i + 1) * _MIX_A) & _MASK64))
-    h = _mix64(h ^ (((j + 1) * _MIX_B) & _MASK64))
-    return h
+    return _keyed_round(_keyed_round(h, i, _MIX_A), j, _MIX_B)
 
 
 def _mix64_inplace(x: np.ndarray) -> None:
@@ -530,31 +553,29 @@ class SeededRandom(TournamentOracle):
     """A random-looking tournament: each pair is an independent fair coin
     keyed by (seed, min, max), so orientations are pure and replayable.
 
-    Of the three mixing rounds of `pair_hash`, the first two depend on the
-    seed and the smaller index only.  Their result is kept for every index
-    below the widest tile asked for so far, in an array grown by doubling,
-    so a tile costs one xor and one mixing round per pair.
+    Of the three mixing rounds of `pair_hash`, the first depends on the
+    seed only: it is kept, so an orientation costs two.  The first two
+    depend on the seed and the smaller index only: they are kept for every
+    index below the widest tile asked for so far, in an array grown by
+    doubling, so a tile costs one xor and one round per pair.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self.name = f"random:{self.seed}"
-        self._h0 = np.uint64(_mix64((self.seed & _MASK64) ^ _PHI64))
+        self._h0 = _mix64((self.seed & _MASK64) ^ _PHI64)
         self._by_smaller = np.zeros(0, dtype=np.uint64)
 
     def _orient_lt(self, i, j):
-        return (
-            Direction.FORWARD
-            if pair_hash(self.seed, i, j) & 1
-            else Direction.BACKWARD
-        )
+        h = _keyed_round(_keyed_round(self._h0, i, _MIX_A), j, _MIX_B)
+        return Direction.FORWARD if h & 1 else Direction.BACKWARD
 
     def _smaller_rounds(self, n: int) -> np.ndarray:
         if self._by_smaller.shape[0] < n:
             m = max(n, 2 * self._by_smaller.shape[0])
             h = np.arange(1, m + 1, dtype=np.uint64)
             h *= np.uint64(_MIX_A)
-            h ^= self._h0
+            h ^= np.uint64(self._h0)
             _mix64_inplace(h)
             self._by_smaller = h
         return self._by_smaller[:n]
@@ -896,53 +917,38 @@ def interleaved_forest() -> PresentedGraph:
 
 class _RandomBlockChain:
     """Seeded acyclic presented graph: random DAG blocks joined by
-    alternating connectors, so directed paths never cross two connectors."""
+    alternating connectors, so directed paths never cross two connectors.
+    Each pair of block g is hashed once, in the last round of
+    pair_hash(seed, g, .) only: the first two are shared by the block."""
 
     def __init__(self, seed: int, max_block: int = 6):
-        self.seed = seed
         self.max_block = max_block
+        self._h0 = _mix64((seed & _MASK64) ^ _PHI64)
         self._starts = [0]  # block g occupies [starts[g], starts[g+1])
-
-    def _block_size(self, g: int) -> int:
-        return 1 + pair_hash(self.seed, g, 0) % self.max_block
-
-    def _ensure_block(self, g: int):
-        while len(self._starts) <= g + 1:
-            h = len(self._starts) - 1
-            self._starts.append(self._starts[-1] + self._block_size(h))
+        self._block: tuple[int, list] = (-1, [])  # the last block's adjacency
 
     def block_of(self, v: int) -> int:
-        while self._starts[-1] <= v:
-            self._ensure_block(len(self._starts))
+        while self._starts[-1] <= v:  # close the last block open
+            h = _keyed_round(self._h0, len(self._starts) - 1, _MIX_A)
+            self._starts.append(self._starts[-1] + 1 + _keyed_round(h, 0, _MIX_B) % self.max_block)
         return bisect.bisect_right(self._starts, v) - 1
-
-    def _pair_present(self, g: int, a: int, b: int) -> bool:
-        # a < b are block-local offsets; edges always point low -> high
-        return bool(pair_hash(self.seed, g, 1 + a * self.max_block + b) & 1)
 
     def adjacency(self, v: int):
         g = self.block_of(v)
-        self._ensure_block(g + 1)
-        lo, hi = self._starts[g], self._starts[g + 1]
-        off = v - lo
-        ins = [lo + a for a in range(off) if self._pair_present(g, a, off)]
-        outs = [
-            lo + b
-            for b in range(off + 1, hi - lo)
-            if self._pair_present(g, off, b)
-        ]
-        # connector between g and g+1: even g points right, odd g points left
-        if v == hi - 1:
-            if g % 2 == 0:
-                outs.append(hi)
-            else:
-                ins.append(hi)
-        if v == lo and g > 0:
-            if (g - 1) % 2 == 0:
-                ins.append(lo - 1)
-            else:
-                outs.append(lo - 1)
-        return (tuple(sorted(ins)), tuple(sorted(outs)))
+        if self._block[0] != g:
+            lo, hi, h = self._starts[g], self._starts[g + 1], _keyed_round(self._h0, g, _MIX_A)
+            ins, outs = [[] for _ in range(lo, hi)], [[] for _ in range(lo, hi)]
+            for b in range(hi - lo):  # offsets a < b: edges point low -> high
+                for a in range(b):
+                    if _keyed_round(h, 1 + a * self.max_block + b, _MIX_B) & 1:
+                        outs[a].append(lo + b)
+                        ins[b].append(lo + a)
+            # connector between g and g+1: even g points right, odd g points left
+            (outs if g % 2 == 0 else ins)[-1].append(hi)
+            if g > 0:
+                (ins if (g - 1) % 2 == 0 else outs)[0].append(lo - 1)
+            self._block = (g, [(tuple(sorted(i)), tuple(sorted(o))) for i, o in zip(ins, outs)])
+        return self._block[1][v - self._starts[g]]
 
 
 def random_presented(seed: int, max_block: int = 6) -> PresentedGraph:
@@ -1013,17 +1019,18 @@ def read_injection_file(path: str) -> InjectionSpec:
     a named tail scheme given by at most one line 'tail identity|factorial'.
 
     The tail is the run layout of that scheme, so a file without overrides
-    counts its prefix inversions in closed form.  An index given twice or a
-    second tail line is a format error.
+    counts its prefix inversions in closed form.  Overrides are read as
+    plain integers into the table's arrays, with no OrdinalValue per line.
+    An index given twice or a second tail line is a format error.
     """
-    overrides: dict[int, OrdinalValue] = {}
+    table: list[int] = []  # index, major, minor of each override in turn
+    given: set[int] = set()
     tail_name, tail_line = "identity", None
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+            if not parts:
                 continue
-            parts = line.split()
             if parts[0] == "tail":
                 if len(parts) != 2:
                     raise GraphFormatError(f"{path}:{ln}: bad tail line")
@@ -1036,17 +1043,21 @@ def read_injection_file(path: str) -> InjectionSpec:
             if len(parts) != 3:
                 raise GraphFormatError(f"{path}:{ln}: expected 'i major minor'")
             try:
-                i, major, minor = (int(p) for p in parts)
+                i, a, b = map(int, parts)
             except ValueError as e:
                 raise GraphFormatError(f"{path}:{ln}: bad integers") from e
             if i < 1:
                 raise GraphFormatError(f"{path}:{ln}: index must be >= 1")
-            if i - 1 in overrides:
+            if i in given:
                 raise GraphFormatError(f"{path}:{ln}: index {i} given twice")
-            overrides[i - 1] = OrdinalValue(major, minor)
+            if a < 0 or b < 0:
+                raise ValueError("ordinal components must be non-negative")
+            given.add(i)
+            table += (i - 1, a, b)
     if tail_name not in _TAIL_RUNS:
         raise GraphFormatError(f"{path}: unknown tail scheme {tail_name!r}")
-    return _with_overrides(_TAIL_RUNS[tail_name](), overrides, f"file:{path}")
+    table = _int64_array(table).reshape(-1, 3).T
+    return _with_overrides(_TAIL_RUNS[tail_name](), table, f"file:{path}")
 
 
 def binomial2(n: int) -> int:

@@ -2,8 +2,10 @@
 
 Everything funnels into one primitive: given the ranks of a sequence in
 its value order, count for each position how many earlier entries have a
-strictly larger rank.  One vectorized numpy kernel does it in O(n log n)
-by walking the rank bits from the most significant down; it needs no JIT.
+strictly larger rank.  An injection's prefix is ranked by one lexsort of
+its majors and minors (`InjectionSpec.value_arrays`), which also finds a
+clash, and one vectorized numpy kernel counts in O(n log n) by walking the
+rank bits from the most significant down; it needs no JIT.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InjectionSpec, OrdinalValue
+from .core import InjectionSpec, _value_order
 
 
 def prior_greater_counts(ranks: Sequence[int]) -> np.ndarray:
@@ -55,29 +57,17 @@ def prior_greater_counts(ranks: Sequence[int]) -> np.ndarray:
     return out
 
 
-def ranks_of_values(values: list) -> np.ndarray:
-    """Dense ranks (0 = smallest) of a list of comparable, distinct values.
-
-    Fast path: a list of OrdinalValue whose majors and minors both fit
-    int64 is ranked with a vectorized two-key sort; anything else falls
-    back to Python sorting.
-    """
-    n = len(values)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if isinstance(values[0], OrdinalValue):
-        INT64_MAX = np.iinfo(np.int64).max
-        if all(v.major <= INT64_MAX and v.minor <= INT64_MAX for v in values):
-            major = np.fromiter((v.major for v in values), dtype=np.int64, count=n)
-            minor = np.fromiter((v.minor for v in values), dtype=np.int64, count=n)
-            order = np.lexsort((minor, major))
-            ranks = np.empty(n, dtype=np.int64)
-            ranks[order] = np.arange(n, dtype=np.int64)
-            return ranks
-    order = sorted(range(n), key=lambda i: values[i])
-    ranks = np.empty(n, dtype=np.int64)
-    for r, i in enumerate(order):
-        ranks[i] = r
+def ranks_of_values(values) -> np.ndarray:
+    """Dense ranks (0 = smallest) of distinct values: an array whose rows
+    are majors and minors, ranked by one lexsort that also raises
+    MalformedInjectionError on a clash, or a list of comparable values,
+    sorted in Python."""
+    if isinstance(values, np.ndarray):
+        order = _value_order(values)
+    else:
+        order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = np.arange(len(order), dtype=np.int64)
     return ranks
 
 
@@ -93,9 +83,7 @@ def inversion_prefix(f: InjectionSpec, n: int) -> np.ndarray:
     """
     if n < 2:
         return np.zeros(0, dtype=np.int64)
-    ranks = ranks_of_values(f.values(n))
-    per = prior_greater_counts(ranks)
-    return np.cumsum(per[1:])
+    return np.cumsum(prior_greater_counts(ranks_of_values(f.value_arrays(n)))[1:])
 
 
 def inversions_upto(f: InjectionSpec, n: int) -> int:

@@ -16,9 +16,10 @@ Block schemes are parametric injections built from precommitted disjoint
 value intervals, and each is laid out as a sequence of runs: stretches
 of indices whose values form one arithmetic progression inside a single
 gap of every earlier value.  Inside a run the inversion count is a
-quadratic in the prefix length, so scalar values, prefix ranks, counts
-and exact window minima all come from the layout in closed form, with no
-counting kernel; a window up to 10^12 takes milliseconds.  The layout,
+quadratic in the prefix length, so values, counts and exact window
+minima come from the layout in closed form, and prefix ranks from one sort
+of its values, with no counting kernel; a window up to 10^12 takes
+milliseconds.  The layout,
 the injection read off it, and the identity and factorial run streams
 live in core, where `FactorialBlock`, `identity_injection` and the tails
 of injection files use them too; this module adds the other catalogue
@@ -45,7 +46,6 @@ import numpy as np
 from .core import (
     InjectionSpec,
     OrdinalInjectionTournament,
-    OrdinalValue,
     TournamentOracle,
     binomial2,
     exact_density,
@@ -56,7 +56,7 @@ from .core import (
     _stacked_runs,
     _with_overrides,
 )
-from .counting import inversion_prefix
+from .counting import inversion_prefix, ranks_of_values
 from .errors import SchemeError
 
 __all__ = [
@@ -138,11 +138,13 @@ def _forward_counts(K: TournamentOracle, points: list[int]) -> list[int]:
     """Forward pairs of K inside each prefix in `points` (ascending, each
     at least 2).
 
-    The one place that decides how to count: the family's closed form when
-    it has one (an injection tournament on a catalogue scheme reads its
-    run layout), the inversion kernel for any other injection tournament,
-    and forward rows summed tile by tile up to the last point otherwise.
+    The one place that decides how to count: one walk over the runs for an
+    injection tournament on a layout, the family's closed form, the
+    inversion kernel for any other injection tournament, and forward rows
+    summed tile by tile up to the last point otherwise.
     """
+    if isinstance(getattr(K, "injection", None), _LayoutInjection):
+        return K.injection.layout.inversions(points)
     if K.forward_pairs_upto(2) is not None:
         return [int(K.forward_pairs_upto(m)) for m in points]
     if isinstance(K, OrdinalInjectionTournament):
@@ -178,11 +180,8 @@ def density_profile(K: TournamentOracle, n_max: int, stride: int = 1) -> Density
 
 
 def inversion_count(f: InjectionSpec, n: int) -> int:
-    """Number of pairs i < j < n with f(i) > f(j).
-
-    Injectivity violations inside the prefix surface as
-    MalformedInjectionError from the injection itself.
-    """
+    """Number of pairs i < j < n with f(i) > f(j); a clash inside the
+    prefix raises MalformedInjectionError."""
     if n < 0:
         raise ValueError("prefix length must be non-negative")
     return _forward_counts(OrdinalInjectionTournament(f), [n])[0] if n >= 2 else 0
@@ -252,9 +251,9 @@ def rank_decompose(K: TournamentOracle, n: int) -> RankDecomposition:
     # indices above level zero override it; beyond the prefix the map stays
     # at level zero, which keeps it total and injective without disturbing
     # pairs inside [n]
-    lifted = np.flatnonzero(alpha).tolist()
-    table = {i: OrdinalValue(a, i) for i, a in zip(lifted, alpha[lifted].tolist())}
-    inj = _with_overrides(_identity_runs(), table, f"rank-decomposition[{K.name}:{n}]")
+    lifted = np.flatnonzero(alpha)
+    inj = _with_overrides(_identity_runs(), np.stack([lifted, alpha[lifted], lifted]),
+                          f"rank-decomposition[{K.name}:{n}]")
     return RankDecomposition(
         n=n, alpha=alpha, levels=int(alpha.max()) + 1, source=K.name, induced_injection=inj
     )
@@ -301,11 +300,10 @@ _DEFAULT_W0 = 1 << 1500
 class BlockScheme:
     """A parametric injection laid out as a sequence of runs.
 
-    `injection` is the total injection, read off the runs one value at a
-    time, and `injection.layout` holds the runs; `block_sizes()` streams the committed interval widths;
-    `prefix_ranks(n)` gives the dense value ranks of the first n
-    arguments and `inversions(n)` their inversion count, neither of which
-    materializes an ordinal value.
+    `injection` is the total injection read off the runs, which
+    `injection.layout` holds; `block_sizes()` streams the committed
+    interval widths, `prefix_ranks(n)` ranks the first n values by one
+    sort of their arrays, and `inversions(n)` counts their inversions.
     """
 
     pattern: str
@@ -326,13 +324,13 @@ class BlockScheme:
     def prefix_ranks(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("prefix length must be non-negative")
-        return self.injection.layout.ranks(n)
+        return ranks_of_values(self.injection.value_arrays(n))
 
     def inversions(self, n: int) -> int:
         """Number of inverted pairs among the first n arguments."""
         if n < 0:
             raise ValueError("prefix length must be non-negative")
-        return self.injection.layout.inversions(n)
+        return self.injection.layout.inversions([n])[0]
 
     def describe(self) -> str:
         if not self.params:

@@ -251,6 +251,16 @@ def test_seeded_random_rows_match_scalar():
             assert row[i] == (K.orient(i, j) is Direction.FORWARD)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(2**70), 2**70), st.integers(0, 10**6), st.integers(1, 10**6))
+def test_seeded_random_orientation_is_the_scalar_hash(seed, i, gap):
+    # the orientation keeps the seed's round; pair_hash recomputes it
+    K, j = SeededRandom(seed), i + gap
+    want = Direction.FORWARD if pair_hash(seed, i, j) & 1 else Direction.BACKWARD
+    assert K.orient(i, j) is want
+    assert K.orient(j, i) is want.reversed()
+
+
 def test_seeded_random_is_fair():
     # ~10^5 pairs; 4-sigma two-sided bound on the forward count
     n = 450
@@ -392,6 +402,42 @@ def test_presented_families_are_mutually_consistent():
         _check_mutual_consistency(G, 300)
 
 
+def _block_chain_reference(seed, n, max_block=6):
+    """Adjacency of random-graph:seed on [0, n) straight off the scalar
+    pair_hash definition: block g has 1 + pair_hash(seed, g, 0) % max_block
+    vertices, offsets a < b of it form the edge a -> b when
+    pair_hash(seed, g, 1 + a*max_block + b) is odd, and consecutive blocks
+    are joined by one connector, pointing right after an even block."""
+    starts = [0]
+    while starts[-1] <= n:
+        starts.append(starts[-1] + 1 + pair_hash(seed, len(starts) - 1, 0) % max_block)
+    adj = {}
+    for g, (lo, hi) in enumerate(zip(starts, starts[1:])):
+        for v in range(lo, min(hi, n)):
+            off = v - lo
+            ins = [lo + a for a in range(off) if pair_hash(seed, g, 1 + a * max_block + off) & 1]
+            outs = [lo + b for b in range(off + 1, hi - lo)
+                    if pair_hash(seed, g, 1 + off * max_block + b) & 1]
+            if v == hi - 1:
+                (outs if g % 2 == 0 else ins).append(hi)
+            if v == lo and g > 0:
+                (ins if (g - 1) % 2 == 0 else outs).append(lo - 1)
+            adj[v] = (tuple(sorted(ins)), tuple(sorted(outs)))
+    return adj
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 77, 2**40 + 3])
+def test_random_graph_matches_scalar_pair_hash(seed):
+    n = 3000
+    want = _block_chain_reference(seed, n)
+    order = list(range(n))
+    if seed % 2:  # out of order too, so blocks are left and come back
+        order = np.random.default_rng(seed).permutation(n).tolist()
+    G = random_presented(seed)
+    for v in order:
+        assert (G.in_neighbors(v), G.out_neighbors(v)) == want[v], v
+
+
 def test_interleaved_forest_ids_follow_the_diagonals():
     # brute force: deal (k, t) along diagonals d = k + t, k ascending,
     # keeping the pairs with t < size(k) = 1 + k % 4
@@ -492,6 +538,50 @@ def test_read_injection_file_rejects_contradictions(tmp_path, text, line):
     p.write_text(text)
     with pytest.raises(GraphFormatError, match=f"^{re.escape(str(p))}:{line}: "):
         read_injection_file(str(p))
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("5 -1 1\n5 2 2\n", "ordinal components must be non-negative"),
+        ("5 1 1\n5 -2 2\n", ":2: index 5 given twice"),
+        ("5 1 1\n5 2 2\n7 x y\n", ":2: index 5 given twice"),
+        ("1 0 -3\n2 x y\n", "ordinal components must be non-negative"),
+        ("2 x y\n1 0 -3\n", ":1: bad integers"),
+        ("1 2\n", ":1: expected 'i major minor'"),
+        ("0 1 1\n", ":1: index must be >= 1"),
+        ("tail bogus\n1 -1 1\n", "ordinal components must be non-negative"),
+    ],
+    ids=["negative-first", "twice-first", "twice-before-bad", "negative-before-bad",
+         "bad-before-negative", "two-fields", "index-zero", "negative-before-tail"],
+)
+def test_read_injection_file_reports_the_first_bad_line(tmp_path, text, error):
+    # each line is checked in turn: the first fault in file order is raised
+    p = tmp_path / "bad.inj"
+    p.write_text(text)
+    with pytest.raises((GraphFormatError, ValueError)) as got:
+        read_injection_file(str(p))
+    assert str(got.value).endswith(error)
+
+
+def test_read_injection_file_beyond_int64(tmp_path):
+    big = 99999999999999999999999
+    p = tmp_path / "big.inj"
+    p.write_text(f"1 {big} 0\n3 0 {2**63}\n{big} 0 0\n")
+    f = read_injection_file(str(p))
+    assert f.eval(0) == OrdinalValue(big, 0) and f.eval(2) == OrdinalValue(0, 2**63)
+    # a prefix holding a component beyond int64 is read as objects
+    assert f.value_arrays(1).dtype == object and f.value_arrays(1).tolist() == [[big], [0]]
+    assert f.value_arrays(3).tolist() == [[big, 0, 0], [0, 1, 2**63]]
+    assert f.values(4) == [OrdinalValue(big, 0), OrdinalValue(0, 1),
+                           OrdinalValue(0, 2**63), OrdinalValue(0, 3)]
+    assert density.inversion_count(f, 4) == 4
+    # the index beyond int64 never enters a prefix; the one beyond stays out
+    q = tmp_path / "far.inj"
+    q.write_text(f"{big} 0 0\n2 1 1\n")
+    g = read_injection_file(str(q))
+    assert g.value_arrays(3).dtype == np.int64
+    assert g.value_arrays(3).tolist() == [[0, 1, 0], [0, 1, 2]]
 
 
 # ------------------------------------------------------------ density util

@@ -74,11 +74,12 @@ def test_inversion_prefix_entries():
 def test_ranks_fast_path_matches_fallback():
     minors = [9, 2, 7, 0, 4]
     majors = [1, 0, 1, 2, 0]
-    fast = ranks_of_values([OrdinalValue(m, x) for m, x in zip(majors, minors)])
+    fast = ranks_of_values(np.array([majors, minors]))  # one lexsort
+    objects = ranks_of_values([OrdinalValue(m, x) for m, x in zip(majors, minors)])
     slow = ranks_of_values(
         [(m, x) for m, x in zip(majors, minors)]  # plain tuples: python sort
     )
-    assert list(fast) == list(slow)
+    assert list(fast) == list(objects) == list(slow)
 
 
 def test_ranks_bigint_fallback():

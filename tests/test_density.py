@@ -27,7 +27,12 @@ from tourlab.core import (
 )
 import tourlab.counting as counting
 import tourlab.density as density
-from tourlab.counting import prior_greater_counts, ranks_of_values
+from tourlab.counting import (
+    inversion_prefix,
+    inversions_brute,
+    prior_greater_counts,
+    ranks_of_values,
+)
 from tourlab.density import (
     BLOCK_PATTERNS,
     DensityProfile,
@@ -404,6 +409,100 @@ def test_injection_file_matches_override_reference(tmp_path, tail_name, tail, ov
     assert got.counts == inversion_density_profile(ref, n, stride=3).counts
 
 
+_TAILS = {"identity": lambda i: i, "factorial": _factorial_value}
+
+
+@st.composite
+def override_files(draw):
+    """A tail, a prefix length n and an override table: major-0 values
+    swapped between indices, taken from another index's tail value, or
+    drawn among and past the tail's values; higher majors; indices past
+    the prefix; and components beyond int64."""
+    tail = draw(st.sampled_from(sorted(_TAILS)))
+    n = draw(st.integers(2, 40))
+    table = {}
+    for _ in range(draw(st.integers(1, 8))):
+        i = draw(st.integers(0, 2 * n))
+        kind = draw(st.sampled_from(["swap", "hit-tail", "level-zero", "higher", "beyond"]))
+        if kind in ("swap", "hit-tail"):  # a one-way swap clashes unless j is overridden
+            j = draw(st.integers(0, 2 * n))
+            table.setdefault(i, (0, _TAILS[tail](j)))
+            if kind == "swap":
+                table.setdefault(j, (0, _TAILS[tail](i)))
+        elif kind == "level-zero":
+            table.setdefault(i, (0, draw(st.integers(0, 20 * n))))
+        elif kind == "higher":
+            table.setdefault(i, (draw(st.integers(1, 3)), draw(st.integers(0, 50))))
+        else:
+            big = 2**63 + draw(st.integers(0, 2**70))
+            table.setdefault(i, draw(st.sampled_from([(big, 0), (1, big)])))
+    return tail, n, table
+
+
+def _write_overrides(path, tail, table):
+    lines = "".join(f"{i + 1} {a} {b}\n" for i, (a, b) in table.items())
+    path.write_text(f"tail {tail}\n" + lines)
+    return read_injection_file(str(path))
+
+
+@settings(max_examples=150, deadline=None)
+@given(override_files())
+def test_override_arrays_match_reference(tmp_path_factory, case):
+    tail, n, table = case
+    f = _write_overrides(tmp_path_factory.mktemp("over") / "f.inj", tail, table)
+    ref = _override_reference(_TAILS[tail], {i: OrdinalValue(*v) for i, v in table.items()})
+    try:
+        want = [ref.eval(i) for i in range(n)]  # a fresh spec's walk
+    except MalformedInjectionError as walk:
+        # the sort names the same clash, through every bulk read
+        for bulk in (lambda: inversion_prefix(f, n), lambda: f.values(n)):
+            with pytest.raises(MalformedInjectionError) as got:
+                bulk()
+            assert str(got.value) == str(walk)
+        return
+    arrays = f.value_arrays(n)
+    assert arrays.tolist() == [[v.major for v in want], [v.minor for v in want]]
+    # objects only where a component in the prefix exceeds int64
+    assert (arrays.dtype == object) == (max(max(v.major, v.minor) for v in want) >= 2**63)
+    ranks = ranks_of_values(arrays)
+    order = sorted(range(n), key=want.__getitem__)
+    assert ranks.tolist() == [order.index(i) for i in range(n)]
+    per = [sum(want[i] > want[j] for i in range(j)) for j in range(n)]
+    assert inversion_prefix(f, n).tolist() == np.cumsum(per)[1:].tolist()
+    assert inversions_brute(ref, n) == sum(per)
+
+
+@pytest.mark.parametrize(
+    "tail, table, n, clash",
+    [
+        # an override that hits a tail value
+        ("identity", {0: (0, 5)}, 6, "indices 0 and 5"),
+        ("factorial", {0: (0, 4)}, 4, "indices 0 and 3"),
+        # three indices share one value: the first repeat is named
+        ("identity", {0: (0, 7), 2: (0, 7)}, 8, "indices 0 and 2"),
+        ("identity", {6: (1, 2), 3: (1, 2), 4: (1, 2)}, 7, "indices 3 and 4"),
+        # the clash lies just past the prefix, so it is not reported
+        ("identity", {0: (0, 5)}, 5, None),
+        ("factorial", {9: (2, 2), 10: (2, 2)}, 10, None),
+    ],
+    ids=["hits-tail", "hits-factorial-tail", "three-way", "three-way-overrides",
+         "past-prefix", "past-prefix-overrides"],
+)
+def test_override_clashes_match_the_walk(tmp_path, tail, table, n, clash):
+    f = _write_overrides(tmp_path / "clash.inj", tail, table)
+    ref = _override_reference(_TAILS[tail], {i: OrdinalValue(*v) for i, v in table.items()})
+    if clash is None:
+        [ref.eval(i) for i in range(n)]
+        assert inversion_prefix(f, n).size == n - 1
+        return
+    with pytest.raises(MalformedInjectionError) as walk:
+        [ref.eval(i) for i in range(n)]
+    with pytest.raises(MalformedInjectionError) as got:
+        inversion_prefix(f, n)
+    assert str(got.value) == str(walk.value)
+    assert str(got.value).startswith(clash + " share the value OrdinalValue(")
+
+
 @pytest.mark.parametrize(
     "K, n",
     [(TransitiveOmegaStar(), 20), (SeededRandom(1), 30), (TransitiveOmega(), 15)],
@@ -683,6 +782,11 @@ def test_layout_counts_match_kernel(pattern, kw):
     per = prior_greater_counts(ranks_of_values(s.injection.values(n)))
     cum = np.concatenate([[0], np.cumsum(per)])
     assert [s.inversions(m) for m in range(n + 1)] == [int(c) for c in cum]
+    # the bulk fill against the layout's scalar values
+    scalar = [s.injection.layout.value(i) for i in range(n)]
+    arrays = s.injection.value_arrays(n)
+    assert arrays.tolist() == [[0] * n, scalar]
+    assert (arrays.dtype == object) == (max(scalar) >= 2**63)
 
 
 def test_scheme_profile_matches_injection_profile():
@@ -711,6 +815,23 @@ def _forbid_value_counting(monkeypatch):
     monkeypatch.setattr(counting, "prior_greater_counts", forbidden)
     monkeypatch.setattr(density, "prior_greater_counts", forbidden, raising=False)
     monkeypatch.setattr(InjectionSpec, "values", forbidden)
+    # bulk reads rank value arrays without building the list above
+    monkeypatch.setattr(counting, "ranks_of_values", forbidden)
+    monkeypatch.setattr(density, "ranks_of_values", forbidden)
+
+
+def test_layout_profile_walk_matches_per_point_counts():
+    # points on both sides of every factorial block edge up to 10!, and a
+    # stride over a catalogue scheme's many short runs
+    edges = [math.factorial(k) for k in range(1, 11)]
+    points = sorted({m for e in edges for m in (e - 1, e, e + 1) if m >= 2})
+    cases = [(FactorialBlock(), points),
+             (OrdinalInjectionTournament(factorial_scheme().injection), points),
+             (OrdinalInjectionTournament(
+                 make_block_scheme("paired-high-low", r=1.3, L0=3).injection),
+              list(range(2, 5000, 7)))]
+    for K, pts in cases:
+        assert density._forward_counts(K, pts) == [K.forward_pairs_upto(m) for m in pts]
 
 
 def test_scheme_injection_tournament_counts_in_closed_form(monkeypatch):
