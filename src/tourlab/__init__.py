@@ -67,7 +67,6 @@ from .density import (
     dominance_check,
     factorial_scheme,
     forward_pair_count,
-    inversion_count,
     inversion_density_profile,
     make_block_scheme,
     optimize_scheme,
@@ -75,14 +74,12 @@ from .density import (
     window_min_density,
 )
 from .embedding import (
-    CellBuilder,
     EmbeddingMap,
     InfinitenessOracle,
     PMPartition,
     SpanStep,
     SpanningResult,
     check_pm_partition,
-    classify_vertices,
     embed_finite_acyclic,
     find_transitive_subtournament,
     greedy_embed_transitive,
@@ -94,7 +91,6 @@ from .embedding import (
 __all__ = [
     "BLOCK_PATTERNS",
     "BlockScheme",
-    "CellBuilder",
     "Classification",
     "ClosureResult",
     "DensityBoundsReport",
@@ -123,7 +119,6 @@ __all__ = [
     "binomial2",
     "check_pm_partition",
     "classify_unavoidability",
-    "classify_vertices",
     "density_profile",
     "dominance_check",
     "embed_finite_acyclic",
@@ -137,7 +132,6 @@ __all__ = [
     "identity_injection",
     "infiniteness_oracle_for",
     "interleaved_forest",
-    "inversion_count",
     "inversion_density_profile",
     "inversion_prefix",
     "inversions_brute",

@@ -99,10 +99,6 @@ class InjectionSpec:
     read checks the prefix it fills: `value_arrays(n)` holds it as rows of
     majors and minors (int64 unless a component exceeds it), and the one
     sort that ranks them names a clash as `eval` would.
-
-    `inversions_closed_form(n)` is None here: a prefix count needs the
-    values.  A layout-backed injection overrides it with the count read off
-    its runs.
     """
 
     def __init__(self, eval_fn: Callable[[int], OrdinalValue], description: str = ""):
@@ -129,11 +125,6 @@ class InjectionSpec:
         _value_order(arrays)
         return list(map(OrdinalValue, *arrays.tolist()))
 
-    def inversions_closed_form(self, n: int) -> Optional[int]:
-        """The count of pairs i < j < n with f(i) > f(j) in closed form, or
-        None when there is none; callers then rank and count the values."""
-        return None
-
     def __repr__(self):
         return f"InjectionSpec({self.description or 'anonymous'})"
 
@@ -150,8 +141,7 @@ class _Run:
     `above` (G) counts the earlier entries above every member, so the
     member at offset s has G + s earlier entries above it when the run
     descends and G when it ascends.  `length` is math.inf for an
-    unbounded run; `joins` marks a run that continues the block of the
-    run before.
+    unbounded run.
     """
 
     start: int
@@ -160,7 +150,6 @@ class _Run:
     above: int
     first: int  # value of the member at offset 0
     step: int
-    joins: bool = False
 
     def value(self, s: int) -> int:
         return self.first - s * self.step if self.descending else self.first + s * self.step
@@ -314,9 +303,6 @@ class _LayoutInjection(InjectionSpec):
         layout = _Layout(runs)
         super().__init__(lambda i: OrdinalValue(0, layout.value(i)), description)
         self.layout = layout
-
-    def inversions_closed_form(self, n: int) -> int:
-        return self.layout.inversions([n])[0]
 
     def value_arrays(self, n: int) -> np.ndarray:
         """(0, value(i)) for i < n, one progression per run."""
@@ -484,7 +470,8 @@ class TransitiveOmega(TournamentOracle):
 class SplitTransitive(TournamentOracle):
     """Two interleaved transitive halves: even vertices ascend among
     themselves, odd vertices descend among themselves, and every even
-    vertex beats every odd one.
+    vertex beats every odd one.  So a pair i < j is forward exactly when
+    i is even, whatever j is.
 
     Forward neighborhoods of even vertices and backward neighborhoods of
     odd vertices are infinite, so the two sign classes split the vertex
@@ -494,27 +481,15 @@ class SplitTransitive(TournamentOracle):
     name = "split-transitive"
 
     def _orient_lt(self, i, j):
-        if i % 2 == 0 and j % 2 == 0:
-            return Direction.FORWARD
-        if i % 2 == 1 and j % 2 == 1:
-            return Direction.BACKWARD
-        # mixed parity: the even endpoint wins
         return Direction.FORWARD if i % 2 == 0 else Direction.BACKWARD
 
     def forward_row(self, j):
-        i = np.arange(j)
-        if j % 2 == 0:
-            return i % 2 == 0
-        return np.zeros(j, dtype=bool)
+        return np.arange(j) % 2 == 0
 
     def forward_pairs_upto(self, n):
-        evens = (n + 1) // 2
-        # even-even pairs ascend; a cross pair is forward exactly when the
-        # even index is the smaller one: for i = 2t there are n//2 - t odds
-        # above it
-        ee = evens * (evens - 1) // 2
-        cf = evens * (n // 2) - evens * (evens - 1) // 2
-        return ee + cf
+        # the even index 2t is forward to the n - 1 - 2t indices above it;
+        # over the e = (n+1)//2 evens these sum to e * (n - e)
+        return ((n + 1) // 2) * (n // 2)
 
 
 class ExponentialThreshold(TournamentOracle):
@@ -604,18 +579,16 @@ class OrdinalInjectionTournament(TournamentOracle):
         self.injection = injection
         self.name = f"injection:{injection.description or 'anonymous'}"
         # a layout is injective by construction, so its integer values are
-        # compared without building an ordinal or checking injectivity
-        self._value = (
-            injection.layout.value
-            if isinstance(injection, _LayoutInjection)
-            else injection.eval
-        )
+        # compared without building an ordinal or checking injectivity, and
+        # its runs count a prefix's inversions in closed form
+        self._layout = injection.layout if isinstance(injection, _LayoutInjection) else None
+        self._value = injection.eval if self._layout is None else self._layout.value
 
     def _orient_lt(self, i, j):
         return Direction.FORWARD if self._value(i) > self._value(j) else Direction.BACKWARD
 
     def forward_pairs_upto(self, n):
-        return self.injection.inversions_closed_form(n)
+        return None if self._layout is None else self._layout.inversions([n])[0]
 
 
 class FactorialBlock(OrdinalInjectionTournament):
@@ -915,14 +888,18 @@ def interleaved_forest() -> PresentedGraph:
     )
 
 
-class _RandomBlockChain:
-    """Seeded acyclic presented graph: random DAG blocks joined by
-    alternating connectors, so directed paths never cross two connectors.
-    Each pair of block g is hashed once, in the last round of
-    pair_hash(seed, g, .) only: the first two are shared by the block."""
+# vertices in the largest block of a `random_presented` graph
+_MAX_BLOCK = 6
 
-    def __init__(self, seed: int, max_block: int = 6):
-        self.max_block = max_block
+
+class _RandomBlockChain:
+    """Seeded acyclic presented graph: random DAG blocks of 1 to _MAX_BLOCK
+    vertices joined by alternating connectors, so directed paths never
+    cross two connectors.  Each pair of block g is hashed once, in the last
+    round of pair_hash(seed, g, .) only: the first two are shared by the
+    block."""
+
+    def __init__(self, seed: int):
         self._h0 = _mix64((seed & _MASK64) ^ _PHI64)
         self._starts = [0]  # block g occupies [starts[g], starts[g+1])
         self._block: tuple[int, list] = (-1, [])  # the last block's adjacency
@@ -930,7 +907,7 @@ class _RandomBlockChain:
     def block_of(self, v: int) -> int:
         while self._starts[-1] <= v:  # close the last block open
             h = _keyed_round(self._h0, len(self._starts) - 1, _MIX_A)
-            self._starts.append(self._starts[-1] + 1 + _keyed_round(h, 0, _MIX_B) % self.max_block)
+            self._starts.append(self._starts[-1] + 1 + _keyed_round(h, 0, _MIX_B) % _MAX_BLOCK)
         return bisect.bisect_right(self._starts, v) - 1
 
     def adjacency(self, v: int):
@@ -940,7 +917,7 @@ class _RandomBlockChain:
             ins, outs = [[] for _ in range(lo, hi)], [[] for _ in range(lo, hi)]
             for b in range(hi - lo):  # offsets a < b: edges point low -> high
                 for a in range(b):
-                    if _keyed_round(h, 1 + a * self.max_block + b, _MIX_B) & 1:
+                    if _keyed_round(h, 1 + a * _MAX_BLOCK + b, _MIX_B) & 1:
                         outs[a].append(lo + b)
                         ins[b].append(lo + a)
             # connector between g and g+1: even g points right, odd g points left
@@ -951,7 +928,7 @@ class _RandomBlockChain:
         return self._block[1][v - self._starts[g]]
 
 
-def random_presented(seed: int, max_block: int = 6) -> PresentedGraph:
+def random_presented(seed: int) -> PresentedGraph:
     """A seeded acyclic presented graph with bounded degrees and no
     infinite directed path.
 
@@ -960,7 +937,7 @@ def random_presented(seed: int, max_block: int = 6) -> PresentedGraph:
     (in random-graph:5, vertex 1 is isolated).  No component roots are
     presented.
     """
-    chain = _RandomBlockChain(seed, max_block)
+    chain = _RandomBlockChain(seed)
     return PresentedGraph(chain.adjacency, name=f"random-graph:{seed}")
 
 

@@ -5,7 +5,8 @@ its value order, count for each position how many earlier entries have a
 strictly larger rank.  An injection's prefix is ranked by one lexsort of
 its majors and minors (`InjectionSpec.value_arrays`), which also finds a
 clash, and one vectorized numpy kernel counts in O(n log n) by walking the
-rank bits from the most significant down; it needs no JIT.
+rank bits from the most significant down; it needs no JIT.  A run
+layout's injection needs neither: its counts come off its runs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InjectionSpec, _value_order
+from .core import InjectionSpec, _LayoutInjection, _value_order
 
 
 def prior_greater_counts(ranks: Sequence[int]) -> np.ndarray:
@@ -57,15 +58,11 @@ def prior_greater_counts(ranks: Sequence[int]) -> np.ndarray:
     return out
 
 
-def ranks_of_values(values) -> np.ndarray:
-    """Dense ranks (0 = smallest) of distinct values: an array whose rows
-    are majors and minors, ranked by one lexsort that also raises
-    MalformedInjectionError on a clash, or a list of comparable values,
-    sorted in Python."""
-    if isinstance(values, np.ndarray):
-        order = _value_order(values)
-    else:
-        order = sorted(range(len(values)), key=values.__getitem__)
+def ranks_of_values(values: np.ndarray) -> np.ndarray:
+    """Dense ranks (0 = smallest) of a prefix's values, given as rows of
+    majors and minors: one lexsort, which also raises
+    MalformedInjectionError on a clash."""
+    order = _value_order(values)
     ranks = np.empty(len(order), dtype=np.int64)
     ranks[order] = np.arange(len(order), dtype=np.int64)
     return ranks
@@ -87,8 +84,14 @@ def inversion_prefix(f: InjectionSpec, n: int) -> np.ndarray:
 
 
 def inversions_upto(f: InjectionSpec, n: int) -> int:
-    """Number of inverted pairs among the first n arguments of f."""
-    return int(inversion_prefix(f, n)[-1]) if n >= 2 else 0
+    """Number of pairs i < j < n with f(i) > f(j): read off the runs when f
+    is a run layout's injection, counted by the kernel otherwise, where a
+    clash inside the prefix raises MalformedInjectionError."""
+    if n < 2:
+        return 0
+    if isinstance(f, _LayoutInjection):
+        return f.layout.inversions([n])[0]
+    return int(inversion_prefix(f, n)[-1])
 
 
 def inversions_brute(f: InjectionSpec, n: int) -> int:

@@ -1,41 +1,35 @@
 """Forward-pair density profiles, rank decompositions, and block schemes.
 
-The through-line of the module: a tournament induced by an ordinal
-injection has its forward pairs exactly at the injection's inversions, so
-prefix densities of injection tournaments reduce to inversion counting.
-One dispatch decides how every prefix count is made: a closed form when
-the tournament has one, the counting kernel for other injection
-tournaments, and a sum of forward rows otherwise, taken in tiles of a
-fixed number of pairs; rank decomposition and its dominance check walk
-the same tiles.
+A tournament induced by an ordinal injection has its forward pairs
+exactly at the injection's inversions, so prefix densities of injection
+tournaments reduce to inversion counting.  One dispatch decides how every
+prefix count is made: for an injection tournament, a walk over its run
+layout when it has one and the counting kernel otherwise (the choice
+`counting.inversions_upto` makes for one prefix); a family's closed form;
+a sum of forward rows otherwise, taken in tiles of a fixed number of
+pairs.  Rank decomposition and its dominance check walk the same tiles.
 Rank decomposition runs the reduction the other way: it extracts an
-injection from an arbitrary finite prefix whose induced tournament
-dominates the prefix pairwise.
+injection from a finite prefix whose induced tournament dominates the
+prefix pairwise.
 
 Block schemes are parametric injections built from precommitted disjoint
-value intervals, and each is laid out as a sequence of runs: stretches
-of indices whose values form one arithmetic progression inside a single
-gap of every earlier value.  Inside a run the inversion count is a
-quadratic in the prefix length, so values, counts and exact window
-minima come from the layout in closed form, and prefix ranks from one sort
-of its values, with no counting kernel; a window up to 10^12 takes
-milliseconds.  The layout,
-the injection read off it, and the identity and factorial run streams
-live in core, where `FactorialBlock`, `identity_injection` and the tails
-of injection files use them too; this module adds the other catalogue
-patterns.  A scheme's injection keeps its layout, so the tournament
-induced by it counts its forward pairs in closed form too.  The
-optimizer searches that catalogue for a high minimum prefix density
-over a window.
+value intervals, each laid out as a sequence of runs: stretches of
+indices whose values form one arithmetic progression inside a single gap
+of every earlier value.  Inside a run the inversion count is a quadratic
+in the prefix length, so values, counts and exact window minima come
+from the layout in closed form, and prefix ranks from one sort of its
+values, with no counting kernel; a window up to 10^12 takes
+milliseconds.  The layout and the identity and factorial run streams
+live in core; this module adds the other catalogue patterns and the
+optimizer, which searches the catalogue for a high minimum prefix
+density over a window.
 
 Densities are exact rationals and counts Python integers end to end.
 Only window minima are ever reported; no limiting claim is attached to
 them.
 """
-
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,7 +41,6 @@ from .core import (
     InjectionSpec,
     OrdinalInjectionTournament,
     TournamentOracle,
-    binomial2,
     exact_density,
     _factorial_runs,
     _identity_runs,
@@ -63,7 +56,6 @@ __all__ = [
     "DensityProfile",
     "forward_pair_count",
     "density_profile",
-    "inversion_count",
     "inversion_density_profile",
     "RankDecomposition",
     "rank_decompose",
@@ -87,16 +79,12 @@ class DensityProfile:
     """Exact forward-pair densities of one tournament at sampled prefixes.
 
     `counts` holds (n, forward_pairs) per sampled prefix, as integers;
-    each entry is (n, forward_pairs, total_pairs, density) with the
-    density a Fraction equal to forward_pairs / C(n, 2), built when asked.
+    `samples` holds (n, density), the density the Fraction
+    forward_pairs / C(n, 2), built when asked.
     """
 
     name: str
     counts: tuple[tuple[int, int], ...]
-
-    @property
-    def entries(self) -> tuple[tuple[int, int, int, Fraction], ...]:
-        return tuple((n, f, binomial2(n), exact_density(f, n)) for n, f in self.counts)
 
     @property
     def samples(self) -> list[tuple[int, Fraction]]:
@@ -138,18 +126,19 @@ def _forward_counts(K: TournamentOracle, points: list[int]) -> list[int]:
     """Forward pairs of K inside each prefix in `points` (ascending, each
     at least 2).
 
-    The one place that decides how to count: one walk over the runs for an
-    injection tournament on a layout, the family's closed form, the
-    inversion kernel for any other injection tournament, and forward rows
-    summed tile by tile up to the last point otherwise.
+    The one place that decides how to count: for an injection tournament,
+    one walk over the runs when its injection is a layout's and the
+    inversion kernel otherwise, as `inversions_upto` decides for one
+    prefix; the family's closed form; forward rows summed tile by tile up
+    to the last point otherwise.
     """
-    if isinstance(getattr(K, "injection", None), _LayoutInjection):
-        return K.injection.layout.inversions(points)
-    if K.forward_pairs_upto(2) is not None:
-        return [int(K.forward_pairs_upto(m)) for m in points]
     if isinstance(K, OrdinalInjectionTournament):
+        if isinstance(K.injection, _LayoutInjection):
+            return K.injection.layout.inversions(points)
         cum = inversion_prefix(K.injection, points[-1])
         return [int(cum[m - 2]) for m in points]
+    if K.forward_pairs_upto(2) is not None:
+        return [int(K.forward_pairs_upto(m)) for m in points]
     counts, total, k = [], 0, 0
     for j0, j1 in _tiles(points[-1]):
         # below_row[r]: forward pairs in the rows j0 .. j0 + r
@@ -162,12 +151,8 @@ def _forward_counts(K: TournamentOracle, points: list[int]) -> list[int]:
 
 
 def forward_pair_count(K: TournamentOracle, n: int) -> int:
-    """Number of forward pairs (i, j), i < j < n, of K.
-
-    Uses the family's closed form when there is one, including an
-    injection tournament built on a catalogue scheme; the inversion kernel
-    for other injection-induced tournaments; a row accumulation otherwise.
-    """
+    """Number of forward pairs (i, j), i < j < n, of K, counted as
+    `_forward_counts` decides."""
     if n < 2:
         raise ValueError("a pair count needs at least two vertices")
     return _forward_counts(K, [n])[0]
@@ -177,14 +162,6 @@ def density_profile(K: TournamentOracle, n_max: int, stride: int = 1) -> Density
     """Densities of K at every stride multiple in [2, n_max], plus n_max."""
     pts = _sample_points(n_max, stride)
     return DensityProfile(K.name, tuple(zip(pts, _forward_counts(K, pts))))
-
-
-def inversion_count(f: InjectionSpec, n: int) -> int:
-    """Number of pairs i < j < n with f(i) > f(j); a clash inside the
-    prefix raises MalformedInjectionError."""
-    if n < 0:
-        raise ValueError("prefix length must be non-negative")
-    return _forward_counts(OrdinalInjectionTournament(f), [n])[0] if n >= 2 else 0
 
 
 def inversion_density_profile(
@@ -301,36 +278,19 @@ class BlockScheme:
     """A parametric injection laid out as a sequence of runs.
 
     `injection` is the total injection read off the runs, which
-    `injection.layout` holds; `block_sizes()` streams the committed
-    interval widths, `prefix_ranks(n)` ranks the first n values by one
-    sort of their arrays, and `inversions(n)` counts their inversions.
+    `injection.layout` holds, so `inversions_upto` counts its prefixes in
+    closed form; `prefix_ranks(n)` ranks the first n values by one sort of
+    their arrays.
     """
 
     pattern: str
     params: dict
     injection: _LayoutInjection
 
-    def block_sizes(self) -> Iterator[int]:
-        size = 0
-        for run in self.injection.layout.iter_runs():
-            if size and not run.joins:
-                yield size
-                size = 0
-            if not run.descending:  # identity's ascending run stacks one-entry blocks
-                yield from itertools.repeat(1)
-            else:
-                size += run.length
-
     def prefix_ranks(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("prefix length must be non-negative")
         return ranks_of_values(self.injection.value_arrays(n))
-
-    def inversions(self, n: int) -> int:
-        """Number of inverted pairs among the first n arguments."""
-        if n < 0:
-            raise ValueError("prefix length must be non-negative")
-        return self.injection.layout.inversions([n])[0]
 
     def describe(self) -> str:
         if not self.params:
@@ -374,7 +334,7 @@ def _paired_runs(sizes: Iterator[int]) -> Iterator[_Run]:
         u = (w + 1) // 2
         yield _Run(P, u, True, 0, P + w - 1, 1)
         if w > u:
-            yield _Run(P + u, w - u, True, u, P + w - u - 1, 1, joins=True)
+            yield _Run(P + u, w - u, True, u, P + w - u - 1, 1)
         P += w
 
 

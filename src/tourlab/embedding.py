@@ -9,7 +9,7 @@ out-neighbor (v -> w), a '-'-neighbor an in-neighbor (w -> v).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Container, Iterator, Optional, Sequence, Union
 
 from .analysis import _least_first_peel, gamma, is_acyclic
@@ -113,75 +113,37 @@ def greedy_embed_transitive(
 # --------------------------------------------------------------- partitions
 
 
-def _cell_type(i: int, flavor: str) -> str:
-    if flavor == "pm":
-        return "+" if i % 2 == 1 else "-"
-    return "-" if i % 2 == 1 else "+"
-
-
 @dataclass
 class PMPartition:
-    """Alternating-cell partition.
-
-    Flavor 'pm': odd cells have type '+' (their vertices take no edges in
-    from the two adjacent cells, and some member has in-degree 0 in all of
-    G); even cells are the '-' dual.  Flavor 'mp' swaps the roles.  Cells
-    are 1-indexed: cells[k] is C_{k+1}.
-    """
-
-    cells: list[frozenset[int]]
-    flavor: str
-
-    def cell_type(self, i: int) -> str:
-        return _cell_type(i, self.flavor)
-
-    def cell(self, i: int) -> frozenset[int]:
-        return self.cells[i - 1] if i <= len(self.cells) else frozenset()
-
-    @property
-    def count(self) -> int:
-        return len(self.cells)
-
-    def cell_of(self) -> dict[int, int]:
-        where = {}
-        for i, c in enumerate(self.cells, start=1):
-            for v in c:
-                where[v] = i
-        return where
-
-
-class CellBuilder:
-    """Incrementally grown alternating closure cells.
+    """Alternating-cell partition, grown cell by cell.
 
     C_1 = {v}.  With flavor 'pm', even cells collect the forward closures
     of the previous cell and odd cells (from C_3 on) the backward closures,
     each time removing the two preceding cells; 'mp' swaps the directions.
-    Once a cell comes out empty the component is exhausted and every later
-    cell is empty too.
+    So with flavor 'pm' odd cells have type '+' (their vertices take no
+    edges in from the two adjacent cells, and some member has in-degree 0
+    in all of G) and even cells are the '-' dual.  Cells are 1-indexed:
+    cells[k] is C_{k+1}.
+
+    `cell(i)` grows the cells out to C_i through closures in G, each
+    within `budget` expansions.  Once a cell comes out empty the component
+    is exhausted: G is dropped and every later cell is empty.  A partition
+    given without G keeps the cells it was given.
     """
 
-    def __init__(self, G: Graph, v: int, flavor: str, budget: int = 10_000):
-        if flavor not in ("pm", "mp"):
-            raise ValueError("flavor must be 'pm' or 'mp'")
-        bad = G.in_neighbors(v) if flavor == "pm" else G.out_neighbors(v)
-        if bad:
-            side = "in" if flavor == "pm" else "out"
-            raise ValueError(f"start vertex {v} must have {side}-degree 0")
-        self.G = G
-        self.flavor = flavor
-        self.budget = budget
-        self.cells: list[frozenset[int]] = [frozenset({v})]
-        self.exhausted = False
+    cells: list[frozenset[int]]
+    flavor: str
+    G: Optional[Graph] = field(default=None, repr=False, compare=False)
+    budget: int = 10_000
 
     def cell_type(self, i: int) -> str:
-        return _cell_type(i, self.flavor)
+        return "+" if (i % 2 == 1) == (self.flavor == "pm") else "-"
 
     def cell(self, i: int) -> frozenset[int]:
-        """C_i, growing the sequence as needed; empty once exhausted."""
-        while len(self.cells) < i and not self.exhausted:
-            nxt = len(self.cells) + 1
-            forward = (nxt % 2 == 0) == (self.flavor == "pm")
-            direction = "+" if forward else "-"
+        """C_i, growing the cells as needed; empty once exhausted."""
+        while len(self.cells) < i and self.G is not None:
+            # a cell collects the closures against its own type
+            direction = "-" if self.cell_type(len(self.cells) + 1) == "+" else "+"
             members: set[int] = set()
             for w in self.cells[-1]:
                 members |= gamma(self.G, w, direction, budget=self.budget).members
@@ -191,11 +153,15 @@ class CellBuilder:
             if members:
                 self.cells.append(frozenset(members))
             else:
-                self.exhausted = True
+                self.G = None
         return self.cells[i - 1] if i <= len(self.cells) else frozenset()
 
-    def partition(self) -> PMPartition:
-        return PMPartition(list(self.cells), self.flavor)
+    def cell_of(self) -> dict[int, int]:
+        where = {}
+        for i, c in enumerate(self.cells, start=1):
+            for v in c:
+                where[v] = i
+        return where
 
 
 def pm_partition(
@@ -205,13 +171,20 @@ def pm_partition(
 
     For a finite graph the sequence stops at the first empty cell and
     partitions v's weak component; for a presented graph it is computed
-    out to `max_cells`.  The start vertex must be extremal for the flavor.
+    out to `max_cells`, and `cell(i)` grows it further.  The start vertex
+    must be extremal for the flavor.
     """
-    b = CellBuilder(G, v, flavor, budget=budget)
+    if flavor not in ("pm", "mp"):
+        raise ValueError("flavor must be 'pm' or 'mp'")
+    bad = G.in_neighbors(v) if flavor == "pm" else G.out_neighbors(v)
+    if bad:
+        side = "in" if flavor == "pm" else "out"
+        raise ValueError(f"start vertex {v} must have {side}-degree 0")
+    p = PMPartition([frozenset({v})], flavor, G, budget)
     i = 1
-    while i <= max_cells and b.cell(i):
+    while i <= max_cells and p.cell(i):
         i += 1
-    return b.partition()
+    return p
 
 
 def check_pm_partition(G: Graph, p: PMPartition) -> list[str]:
@@ -338,21 +311,6 @@ def embed_finite_acyclic(
 
 
 # ----------------------------------------------------- infiniteness oracles
-
-
-@dataclass(frozen=True)
-class StarSigns:
-    """Signs of an initial segment of K-vertices: '+' when the running
-    intersection of earlier signed neighborhoods meets the vertex's forward
-    neighborhood in an infinite set, '-' otherwise."""
-
-    signs: tuple[str, ...]
-
-    def sign(self, v: int) -> str:
-        return self.signs[v]
-
-    def __len__(self) -> int:
-        return len(self.signs)
 
 
 Constraint = tuple[int, str]
@@ -564,27 +522,6 @@ def _sign_stream(oracle: InfinitenessOracle) -> Iterator[str]:
             yield "-"
 
 
-def classify_vertices(
-    K: TournamentOracle, oracle: InfinitenessOracle, n: int
-) -> StarSigns:
-    """Left-to-right signs of K-vertices 0..n-1.
-
-    Each vertex gets '+' exactly when the intersection of all earlier
-    signed neighborhoods with its own forward neighborhood is infinite.
-    The result is cross-checked against the oracle's class map; a mismatch
-    means the oracle misdescribes its companion.
-    """
-    signs: list[str] = []
-    for v, s in zip(range(n), _sign_stream(oracle)):
-        if oracle.sign_class(v) != s:
-            raise OracleInconsistencyError(
-                f"sign recursion gives {s!r} at vertex {v} but the oracle's "
-                f"class map says {oracle.sign_class(v)!r}"
-            )
-        signs.append(s)
-    return StarSigns(tuple(signs))
-
-
 # ------------------------------------------------------------ spanning embed
 
 
@@ -606,11 +543,12 @@ class SpanStep:
 
 
 class _Machine:
-    """Per-component embedding state: cell builder plus frontier index."""
+    """Per-component embedding state: its partition, grown as the steps
+    reach further cells, plus frontier index."""
 
     def __init__(self, mid: int, G: Graph, start: int, flavor: str, budget: int):
         self.id = mid
-        self.cells = CellBuilder(G, start, flavor, budget=budget)
+        self.cells = pm_partition(G, start, flavor, budget=budget, max_cells=1)
         self.frontier = 1
         self.retired = False
 

@@ -1,6 +1,7 @@
 """Core types, oracles, and file formats."""
 
 import math
+import random
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from tourlab.core import (
     OrdinalInjectionTournament,
     OrdinalValue,
     SeededRandom,
+    SplitTransitive,
     TabulatedTournament,
     TransitiveOmega,
     TransitiveOmegaStar,
@@ -35,6 +37,7 @@ from tourlab.core import (
     read_injection_file,
     tournament_from_name,
 )
+from tourlab.counting import inversions_upto
 import tourlab.density as density
 from tourlab.embedding import FiniteBelowOracle, infiniteness_oracle_for
 from tourlab.errors import (
@@ -127,6 +130,34 @@ def test_layout_orientation_keeps_no_values(K):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_bulk_orientations_match_scalar_orient_on_every_host(tmp_path):
+    # forward_row, forward_tile and forward_pairs_upto each restate a
+    # host's orientation rule; all three are held to scalar orient
+    p = tmp_path / "over.inj"
+    p.write_text("tail factorial\n1 1 0\n3 2 5\n")
+    n = 200
+    coin = random.Random(5)
+    hosts = [
+        TransitiveOmega(), TransitiveOmegaStar(), FactorialBlock(), SplitTransitive(),
+        ExponentialThreshold(), SeededRandom(3),
+        OrdinalInjectionTournament(read_injection_file(str(p))),
+        TabulatedTournament(n, [(i, j) for j in range(n) for i in range(j) if coin.random() < 0.5]),
+    ]
+    for K in hosts:
+        want = np.zeros((n, n - 1), dtype=bool)  # want[j, i]: (i, j) is forward
+        for j in range(1, n):
+            want[j, :j] = [K.orient(i, j) is Direction.FORWARD for i in range(j)]
+        for j in range(n):
+            assert np.array_equal(K.forward_row(j), want[j, :j]), (K.name, j)
+        for j0, j1 in [(0, n), (1, 2), (37, 120), (150, 151), (n - 1, n)]:
+            assert np.array_equal(K.forward_tile(j0, j1), want[j0:j1, : j1 - 1]), K.name
+        inside = np.concatenate([[0], np.cumsum(want.sum(axis=1))])  # pairs in [m]
+        if K.forward_pairs_upto(2) is not None:
+            assert [K.forward_pairs_upto(m) for m in range(n + 1)] == inside.tolist(), K.name
+    # forward pairs (2t, j) stack the even indices: 0 > 2 > ... > 10 > 11
+    assert density.rank_decompose(SplitTransitive(), 12).levels == 7
 
 
 # --------------------------------------------------------- factorial block
@@ -520,8 +551,9 @@ def test_read_injection_file(tmp_path):
     assert g.eval(2) == OrdinalValue(0, 5)
     # a tail-only file is the tail's run layout, described by its path
     assert _has_layout_oracle(g) and g.description == f"file:{q}"
-    assert g.inversions_closed_form(6) == 6
-    assert not _has_layout_oracle(f) and f.inversions_closed_form(6) is None
+    assert OrdinalInjectionTournament(g).forward_pairs_upto(6) == 6
+    assert not _has_layout_oracle(f)
+    assert OrdinalInjectionTournament(f).forward_pairs_upto(6) is None
 
 
 @pytest.mark.parametrize(
@@ -575,7 +607,7 @@ def test_read_injection_file_beyond_int64(tmp_path):
     assert f.value_arrays(3).tolist() == [[big, 0, 0], [0, 1, 2**63]]
     assert f.values(4) == [OrdinalValue(big, 0), OrdinalValue(0, 1),
                            OrdinalValue(0, 2**63), OrdinalValue(0, 3)]
-    assert density.inversion_count(f, 4) == 4
+    assert inversions_upto(f, 4) == 4
     # the index beyond int64 never enters a prefix; the one beyond stays out
     q = tmp_path / "far.inj"
     q.write_text(f"{big} 0 0\n2 1 1\n")

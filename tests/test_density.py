@@ -30,6 +30,7 @@ import tourlab.density as density
 from tourlab.counting import (
     inversion_prefix,
     inversions_brute,
+    inversions_upto,
     prior_greater_counts,
     ranks_of_values,
 )
@@ -40,7 +41,6 @@ from tourlab.density import (
     dominance_check,
     factorial_scheme,
     forward_pair_count,
-    inversion_count,
     inversion_density_profile,
     make_block_scheme,
     optimize_scheme,
@@ -48,6 +48,15 @@ from tourlab.density import (
     window_min_density,
 )
 from tourlab.errors import MalformedInjectionError, SchemeError
+
+
+def sorted_ranks(values):
+    """Ranks of comparable values by a Python sort: the reference for the
+    one lexsort that ranks value arrays."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = np.arange(len(order))
+    return ranks
 
 
 def injection_from_minors(minors):
@@ -130,9 +139,9 @@ def test_profile_sample_points():
 
 def test_profile_entries_exact():
     p = density_profile(SeededRandom(7), 120, stride=17)
-    for n, fwd, total, dens in p.entries:
-        assert total == n * (n - 1) // 2
-        assert dens == Fraction(fwd, total)
+    assert [n for n, _ in p.counts] == [n for n, _ in p.samples]
+    for (n, fwd), (_, dens) in zip(p.counts, p.samples):
+        assert dens == Fraction(fwd, n * (n - 1) // 2)
         assert 0 <= dens <= 1
 
 
@@ -158,22 +167,22 @@ def test_inversion_identity_shared_orientation(seed, n):
 def test_inversion_identity_independent_quadratic():
     for seed in (3, 4, 5):
         f = random_injection(seed, 2000)
-        ranks = ranks_of_values(f.values(2000))
-        assert inversion_count(f, 2000) == quad_inversions(ranks)
+        ranks = sorted_ranks(f.values(2000))
+        assert inversions_upto(f, 2000) == quad_inversions(ranks)
 
 
 def test_inversion_count_rejects_collisions():
     vals = [OrdinalValue(0, 1), OrdinalValue(0, 2), OrdinalValue(0, 1)]
     f = InjectionSpec(lambda i: vals[i], description="collide")
     with pytest.raises(MalformedInjectionError):
-        inversion_count(f, 3)
+        inversions_upto(f, 3)
 
 
 def test_inversion_frozen_examples():
     n = 40
-    assert inversion_count(injection_from_minors(range(n)), n) == 0
-    assert inversion_count(injection_from_minors(range(n - 1, -1, -1)), n) == n * (n - 1) // 2
-    assert inversion_count(injection_from_minors([3, 1, 4, 2]), 4) == 3
+    assert inversions_upto(injection_from_minors(range(n)), n) == 0
+    assert inversions_upto(injection_from_minors(range(n - 1, -1, -1)), n) == n * (n - 1) // 2
+    assert inversions_upto(injection_from_minors([3, 1, 4, 2]), 4) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +525,8 @@ def test_rank_injection_matches_reference(K, n):
     got = inversion_density_profile(d.induced_injection, m, stride=2)
     assert got.counts == inversion_density_profile(ref, m, stride=2).counts
     # an empty override table hands back the identity layout's injection
-    assert (d.induced_injection.inversions_closed_form(m) is not None) == (d.levels == 1)
+    closed = OrdinalInjectionTournament(d.induced_injection).forward_pairs_upto(m)
+    assert (closed is not None) == (d.levels == 1)
 
 
 def test_dominance_rejects_foreign_prefix():
@@ -580,8 +590,8 @@ def test_factorial_scheme_first_values():
 
 
 def test_factorial_scheme_sizes():
-    it = factorial_scheme().block_sizes()
-    assert [next(it) for _ in range(6)] == [1, 1, 4, 18, 96, 600]
+    runs = factorial_scheme().injection.layout.iter_runs()
+    assert [next(runs).length for _ in range(6)] == [1, 1, 4, 18, 96, 600]
 
 
 def test_scheme_injective_to_1e5():
@@ -607,15 +617,15 @@ def test_scheme_injective_to_1e5():
 def test_prefix_ranks_match_value_sort(pattern, kw):
     s = make_block_scheme(pattern, **kw)
     n = 700
-    assert np.array_equal(s.prefix_ranks(n), ranks_of_values(s.injection.values(n)))
+    assert np.array_equal(s.prefix_ranks(n), sorted_ranks(s.injection.values(n)))
     assert s.prefix_ranks(0).size == 0
     assert list(s.prefix_ranks(1)) == [0]
 
 
 def test_nested_dip_cycles_sit_inside_their_gap():
     s = make_block_scheme("nested-dip", r=1.5, q=0.5, L0=4)
-    sizes = s.block_sizes()
-    L0, L1 = next(sizes), next(sizes)
+    runs = s.injection.layout.iter_runs()  # one run per nested cycle
+    L0, L1 = next(runs).length, next(runs).length
     vals = [v.minor for v in s.injection.values(L0 + L1)]
     p0 = 2  # ceil(0.5 * 4)
     gap_lo, gap_hi = vals[p0], vals[p0 - 1]
@@ -779,9 +789,9 @@ def test_layout_counts_match_kernel(pattern, kw):
     s = make_block_scheme(pattern, **kw)
     n = 2000
     # ranks from the scalar values, not from the layout's rank order
-    per = prior_greater_counts(ranks_of_values(s.injection.values(n)))
+    per = prior_greater_counts(sorted_ranks(s.injection.values(n)))
     cum = np.concatenate([[0], np.cumsum(per)])
-    assert [s.inversions(m) for m in range(n + 1)] == [int(c) for c in cum]
+    assert [inversions_upto(s.injection, m) for m in range(n + 1)] == [int(c) for c in cum]
     # the bulk fill against the layout's scalar values
     scalar = [s.injection.layout.value(i) for i in range(n)]
     arrays = s.injection.value_arrays(n)
@@ -795,7 +805,7 @@ def test_scheme_profile_matches_injection_profile():
     s = make_block_scheme("paired-high-low", r=1.5, L0=5)
     via_layout = inversion_density_profile(s, 3000, stride=7)
     via_rows = density_profile(OpaqueInjectionTournament(s.injection), 3000, stride=7)
-    assert via_layout.entries == via_rows.entries
+    assert via_layout.counts == via_rows.counts
 
 
 def _factorial_pairs(n):
@@ -841,7 +851,7 @@ def test_scheme_injection_tournament_counts_in_closed_form(monkeypatch):
         OrdinalInjectionTournament(s.injection), 100_000, stride=100
     )
     via_scheme = inversion_density_profile(s, 100_000, stride=100)
-    assert via_tournament.entries == via_scheme.entries
+    assert via_tournament.counts == via_scheme.counts
     # block arithmetic on factorial bounds is independent of the layout
     K = OrdinalInjectionTournament(factorial_scheme().injection)
     for n in (2, 7, 1000, 10 ** 6, 10 ** 12):
@@ -856,7 +866,7 @@ def test_factorial_tail_file_counts_in_closed_form(monkeypatch, tmp_path):
     _forbid_value_counting(monkeypatch)
     via_file = inversion_density_profile(f, 10 ** 6, stride=1000)
     via_scheme = inversion_density_profile(factorial_scheme(), 10 ** 6, stride=1000)
-    assert via_file.entries == via_scheme.entries
+    assert via_file.counts == via_scheme.counts
 
 
 def test_cycles_that_do_not_fit_raise(monkeypatch):
@@ -892,6 +902,6 @@ def test_window_min_nested_dip_to_1e12_is_exact():
     assert isinstance(dens, Fraction)
     assert dens.numerator > 2 ** 63  # beyond int64
     assert lo <= at <= hi
-    assert dens == Fraction(s.inversions(at), at * (at - 1) // 2)
+    assert dens == Fraction(inversions_upto(s.injection, at), at * (at - 1) // 2)
     for n in (lo, at - 1, at + 1, hi, 10 ** 9, 7 * 10 ** 11):
-        assert Fraction(s.inversions(n), n * (n - 1) // 2) >= dens
+        assert Fraction(inversions_upto(s.injection, n), n * (n - 1) // 2) >= dens

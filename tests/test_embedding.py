@@ -31,7 +31,6 @@ from tourlab.embedding import (
     SplitTransitiveOracle,
     TransitiveUpOracle,
     check_pm_partition,
-    classify_vertices,
     embed_finite_acyclic,
     find_transitive_subtournament,
     greedy_embed_transitive,
@@ -500,8 +499,8 @@ def test_classify_signs():
         (SeededRandom(4), "+" * 10),
     ]
     for K, expect in cases:
-        signs = classify_vertices(K, infiniteness_oracle_for(K), 10)
-        assert "".join(signs.signs) == expect, K.name
+        signs = zip(range(10), _sign_stream(infiniteness_oracle_for(K)))
+        assert "".join(s for _, s in signs) == expect, K.name
 
 
 def _signs_reference(oracle, n):
@@ -535,7 +534,8 @@ def test_sign_recursion_matches_reference(tmp_path):
         want = _signs_reference(oracle, 300)
         got = "".join(s for _, s in zip(range(300), _sign_stream(oracle)))
         assert got == want, K.name
-        assert "".join(classify_vertices(K, oracle, 300).signs) == want, K.name
+        # the oracle's class map describes the same signs
+        assert "".join(oracle.sign_class(v) for v in range(300)) == want, K.name
 
 
 class _TableOracle(InfinitenessOracle):
@@ -656,15 +656,6 @@ def test_spanning_oracle_work_is_linear_in_the_horizon(
     res = spanning_embed(G_factory(), K, oracle=oracle, horizon=horizon)
     assert all(res.phi.has_target(k) for k in range(horizon))
     assert oracle.work <= per_vertex * horizon
-
-
-def test_classify_detects_lying_oracle():
-    class Liar(TransitiveUpOracle):
-        def sign_class(self, v):
-            return "-"
-
-    with pytest.raises(OracleInconsistencyError):
-        classify_vertices(TransitiveOmega(), Liar(), 3)
 
 
 # ---------------------------------------------------------------- spanning
