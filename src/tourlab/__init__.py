@@ -55,7 +55,6 @@ from .counting import (
     inversions_upto,
     prior_greater_counts,
     ranks_of_values,
-    warm_kernel,
 )
 from .density import (
     BLOCK_PATTERNS,
@@ -149,7 +148,6 @@ __all__ = [
     "read_graph_file",
     "read_injection_file",
     "tournament_from_name",
-    "warm_kernel",
 ]
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .analysis import classify_unavoidability
+from .analysis import DEFAULT_BUDGET, classify_unavoidability
 from .core import (
     binomial2,
     presented_from_name,
@@ -44,7 +44,6 @@ from .errors import (
     TourlabError,
 )
 
-DEFAULT_BUDGET = 10_000
 _CSV_CHUNK = 4096
 
 _ERROR_CODES = [

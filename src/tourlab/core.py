@@ -646,7 +646,7 @@ class TabulatedTournament(TournamentOracle):
                 if (bits >> idx) & 1:
                     fwd.append((i, j))
                 idx += 1
-        return cls(n, fwd, name=f"tabulated-{n}-{bits}")
+        return cls(n, fwd, name=f"tabulated-{n}-{bits:x}")
 
     def _orient_lt(self, i, j):
         if j >= self.n:

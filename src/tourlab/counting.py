@@ -101,10 +101,3 @@ def inversions_brute(f: InjectionSpec, n: int) -> int:
         1 for j in range(n) for i in range(j) if vals[i] > vals[j]
     )
 
-
-def warm_kernel() -> None:
-    """Kept for callers that warm the kernel before a timed region.
-
-    The kernel is plain numpy with nothing to compile, so this does
-    nothing.
-    """

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Container, Iterator, Optional, Sequence, Union
 
-from .analysis import _least_first_peel, gamma, is_acyclic
+from .analysis import DEFAULT_BUDGET, _least_first_peel, gamma, is_acyclic
 from .core import (
     FiniteOrientedGraph,
     OrdinalInjectionTournament,
@@ -134,7 +134,7 @@ class PMPartition:
     cells: list[frozenset[int]]
     flavor: str
     G: Optional[Graph] = field(default=None, repr=False, compare=False)
-    budget: int = 10_000
+    budget: int = DEFAULT_BUDGET
 
     def cell_type(self, i: int) -> str:
         return "+" if (i % 2 == 1) == (self.flavor == "pm") else "-"
@@ -165,7 +165,8 @@ class PMPartition:
 
 
 def pm_partition(
-    G: Graph, v: int, flavor: str = "pm", budget: int = 10_000, max_cells: int = 64
+    G: Graph, v: int, flavor: str = "pm", budget: int = DEFAULT_BUDGET,
+    max_cells: int = 64,
 ) -> PMPartition:
     """Alternating-cell partition grown from C_1 = {v}.
 
@@ -320,42 +321,34 @@ class InfinitenessOracle:
     """Decides infiniteness of finite intersections of signed neighborhoods
     in a companion tournament and enumerates members of such intersections.
 
-    An oracle decides one constraint at a time: `admits(v, s)` says whether
-    the constraint (v, s) keeps an intersection infinite, and `decide` is
-    the conjunction of `admits` over the constraints, so the left-to-right
-    sign recursion costs O(1) per vertex.  `classes` lists the sign classes
-    that meet every intersection decided infinite; `decide_in_class`
-    restricts attention to candidates of one class, which the spanning
-    engine needs for its parity choice.  `enumerate_in_class` streams
-    members of that class in increasing vertex order from vertex `start`
-    on, skipping `exclusions`; these are only tested for membership, so a
-    caller may pass a live set without copying it.  `sign_class(v)` gives
-    the vertex's class and must agree with the sign recursion.  Enumeration
-    is only meaningful for intersections decided infinite; otherwise it may
-    return fewer members than asked, including none.
+    `sign_class(v)` is the sign the left-to-right sign recursion gives
+    vertex v: '+' when v's out-neighborhood meets the intersection of the
+    earlier signed neighborhoods infinitely, '-' otherwise.  It defaults to
+    `pool_class`, the one class the spanning engine pools from; an oracle
+    whose signs vary overrides it.  `decide` says whether an intersection
+    is infinite, which for the shipped oracles is exactly when every
+    constraint carries its anchor's sign: the conformity the spanning
+    engine asserts each step.  `enumerate_in_class` streams members of
+    `pool_class` in the intersection in increasing vertex order from
+    vertex `start` on, skipping `exclusions`; these are only tested for
+    membership, so a caller may pass a live set without copying it.
+    Enumeration is only meaningful for intersections decided infinite;
+    otherwise it may return fewer members than asked, including none.
     """
 
-    classes: tuple[str, ...]
-
-    def admits(self, v: int, s: str) -> bool:
-        raise NotImplementedError
-
-    def decide(self, constraints: Sequence[Constraint]) -> bool:
-        return all(self.admits(v, s) for (v, s) in constraints)
-
-    def decide_in_class(self, constraints: Sequence[Constraint], klass: str) -> bool:
-        return klass in self.classes and self.decide(constraints)
+    pool_class: str
 
     def sign_class(self, v: int) -> str:
-        """The one infinite class; oracles with two override this."""
-        return self.classes[0]
+        return self.pool_class
+
+    def decide(self, constraints: Sequence[Constraint]) -> bool:
+        return all(s == self.sign_class(v) for (v, s) in constraints)
 
     def enumerate_in_class(
         self,
         constraints: Sequence[Constraint],
         exclusions: Container[int],
         count: int,
-        klass: str,
         start: int = 0,
     ) -> list[int]:
         raise NotImplementedError
@@ -373,23 +366,20 @@ def _free_run(w: int, step: int, exclusions: Container[int], count: int) -> list
 
 class TransitiveUpOracle(InfinitenessOracle):
     """Upward transitive tournament: forward neighborhoods are upward
-    tails (infinite), backward ones finite."""
+    tails (infinite), backward ones finite, so every sign is '+'."""
 
-    classes = ("+",)
+    pool_class = "+"
 
-    def admits(self, v, s):
-        return s == "+"
-
-    def enumerate_in_class(self, constraints, exclusions, count, klass, start=0):
-        if not self.decide_in_class(constraints, klass):
+    def enumerate_in_class(self, constraints, exclusions, count, start=0):
+        if not self.decide(constraints):
             return []
         lo = max((v + 1 for (v, _) in constraints), default=0)
         return _free_run(max(lo, start), 1, exclusions, count)
 
 
 class AlwaysInfiniteOracle(InfinitenessOracle):
-    """Treats every signed intersection as infinite and enumerates by
-    scanning the companion tournament's edges directly.
+    """Gives every vertex the sign '+' and enumerates by scanning the
+    companion tournament's edges directly.
 
     Almost surely correct for the seeded random family, where every finite
     sign pattern recurs forever; the scan cap converts a companion that
@@ -397,14 +387,11 @@ class AlwaysInfiniteOracle(InfinitenessOracle):
     hang.
     """
 
-    classes = ("+",)
+    pool_class = "+"
 
     def __init__(self, K: TournamentOracle, scan_limit: int = 2_000_000):
         self.K = K
         self.scan_limit = scan_limit
-
-    def admits(self, v, s):
-        return True
 
     def _satisfies(self, w, constraints):
         for (v, s) in constraints:
@@ -417,9 +404,7 @@ class AlwaysInfiniteOracle(InfinitenessOracle):
                 return False
         return True
 
-    def enumerate_in_class(self, constraints, exclusions, count, klass, start=0):
-        if klass != "+":
-            return []
+    def enumerate_in_class(self, constraints, exclusions, count, start=0):
         out: list[int] = []
         w = start
         while len(out) < count:
@@ -443,18 +428,15 @@ class FiniteBelowOracle(InfinitenessOracle):
     value exceeds every anchor's, which the layout walks one range per
     run."""
 
-    classes = ("-",)
+    pool_class = "-"
 
     def __init__(self, K: OrdinalInjectionTournament):
         if not isinstance(K.injection, _LayoutInjection):
             raise ValueError("companion injection has no run layout")
         self.layout = K.injection.layout
 
-    def admits(self, v, s):
-        return s == "-"
-
-    def enumerate_in_class(self, constraints, exclusions, count, klass, start=0):
-        if not self.decide_in_class(constraints, klass):
+    def enumerate_in_class(self, constraints, exclusions, count, start=0):
+        if not self.decide(constraints):
             return []
         bound = -1  # layout values are non-negative, so -1 bounds nothing
         if constraints:
@@ -468,28 +450,24 @@ class FiniteBelowOracle(InfinitenessOracle):
 
 class SplitTransitiveOracle(InfinitenessOracle):
     """Exact oracle for the split family (even vertices ascend, odd ones
-    descend, evens beat odds).  Even vertices have sign '+', odd ones '-',
-    so both classes are infinite; an intersection is infinite exactly when
-    every constraint matches its anchor's class, and then both classes
-    meet it infinitely."""
+    descend, evens beat odds).  Even vertices have sign '+', odd ones '-';
+    an intersection is infinite exactly when every constraint matches its
+    anchor's sign, and then it holds every even vertex above the even
+    anchors, which is the pool."""
 
-    classes = ("+", "-")
+    pool_class = "+"
 
     def sign_class(self, v):
         return "+" if v % 2 == 0 else "-"
 
-    def admits(self, v, s):
-        return (s == "+") == (v % 2 == 0)
-
-    def enumerate_in_class(self, constraints, exclusions, count, klass, start=0):
-        if not self.decide_in_class(constraints, klass):
+    def enumerate_in_class(self, constraints, exclusions, count, start=0):
+        if not self.decide(constraints):
             return []
-        parity = 0 if klass == "+" else 1
         lo = start
         for (v, _) in constraints:
-            if v % 2 == parity:
+            if v % 2 == 0:
                 lo = max(lo, v + 1)
-        return _free_run(lo if lo % 2 == parity else lo + 1, 2, exclusions, count)
+        return _free_run(lo + lo % 2, 2, exclusions, count)
 
 
 def infiniteness_oracle_for(K: TournamentOracle) -> InfinitenessOracle:
@@ -503,23 +481,6 @@ def infiniteness_oracle_for(K: TournamentOracle) -> InfinitenessOracle:
     ):
         return FiniteBelowOracle(K)
     return AlwaysInfiniteOracle(K)
-
-
-def _sign_stream(oracle: InfinitenessOracle) -> Iterator[str]:
-    """Left-to-right signs of K-vertices 0, 1, 2, ...
-
-    Vertex u gets '+' exactly when the earlier signed constraints plus
-    (u, '+') are decided infinite.  Since `decide` is a conjunction of
-    `admits`, one running flag for the earlier constraints replaces
-    deciding the whole prefix again.
-    """
-    ok = True
-    for u in itertools.count():
-        if ok and oracle.admits(u, "+"):
-            yield "+"
-        else:
-            ok = ok and oracle.admits(u, "-")
-            yield "-"
 
 
 # ------------------------------------------------------------ spanning embed
@@ -592,7 +553,7 @@ def spanning_embed(
     K: TournamentOracle,
     oracle: Optional[InfinitenessOracle] = None,
     horizon: int = 10,
-    budget: int = 10_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> SpanningResult:
     """Embed G into K so that K-vertices 0..horizon-1 all get covered.
 
@@ -617,19 +578,11 @@ def spanning_embed(
     else:
         root_stream = iter((0,))
 
-    sign_stream = _sign_stream(oracle)
-    signs: list[str] = []
-
-    def sign_of(v: int) -> str:
-        while len(signs) <= v:
-            signs.append(next(sign_stream))
-        return signs[v]
-
     def start_machine(k_vertex: int) -> bool:
         r = next(root_stream, None)
         if r is None:
             return False
-        star = sign_of(k_vertex)
+        star = oracle.sign_class(k_vertex)
         flavor = "pm" if star == "+" else "mp"
         v1 = _extremal_in_component(G, r, "-" if star == "+" else "+", budget)
         m = _Machine(len(machines), G, v1, flavor, budget)
@@ -642,7 +595,7 @@ def spanning_embed(
     def advance(m: _Machine, k_vertex: int) -> bool:
         """One covering step of machine m; False if its component has no
         pin cell left (the machine then retires)."""
-        star = sign_of(k_vertex)
+        star = oracle.sign_class(k_vertex)
         f = m.frontier
         diamond_f = m.cells.cell_type(f)
         constraints: list[Constraint] = [(k_vertex, star)]
@@ -665,15 +618,12 @@ def spanning_embed(
             )
         v_j = min(pins)
 
-        if oracle.decide_in_class(constraints, "+"):
-            new_diamond = "+"
-        elif oracle.decide_in_class(constraints, "-"):
-            new_diamond = "-"
-        else:
+        if not oracle.decide(constraints):
             raise OracleInconsistencyError(
                 "an intersection the conformity invariant guarantees "
-                "infinite was decided finite in both sign classes"
+                "infinite was decided finite"
             )
+        new_diamond = oracle.pool_class
 
         i_j = f + 5
         while m.cells.cell_type(i_j) != new_diamond:
@@ -693,7 +643,7 @@ def spanning_embed(
         # every vertex below k_vertex is covered and k_vertex is the pin
         need = 1 << (free - 1) if free >= 1 else 0
         pool = oracle.enumerate_in_class(
-            constraints, phi._image, need, new_diamond, start=k_vertex + 1
+            constraints, phi._image, need, start=k_vertex + 1
         )
         # the chunk's graph numbers each vertex by its position in the chunk
         local = {v: i for i, v in enumerate(chunk)}

@@ -25,7 +25,7 @@ from tourlab.core import (
     TransitiveOmega,
     TransitiveOmegaStar,
 )
-from tourlab.counting import inversions_brute, inversions_upto, warm_kernel
+from tourlab.counting import inversions_brute, inversions_upto
 from tourlab.density import (
     BLOCK_PATTERNS,
     density_profile,
@@ -160,7 +160,6 @@ def test_criterion_4_fast_counter_equivalence_and_speed():
         n = int(rng.integers(2, 501))
         f = _random_injection(10_000 + trial, n)
         assert inversions_upto(f, n) == inversions_brute(f, n)
-    warm_kernel()
     big = _random_injection(777, 1_000_000)
     t0 = time.perf_counter()
     count = inversions_upto(big, 1_000_000)

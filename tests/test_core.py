@@ -379,6 +379,16 @@ def test_tabulated_from_bits_roundtrip():
         K.orient(0, 4)
 
 
+def test_tabulated_from_bits_names_a_mask_past_the_digit_limit():
+    # all 19,900 pair bits set: the mask's decimal form passes Python's
+    # 4,300-digit limit on int-to-str conversion, its hex form has no limit
+    n = 200
+    bits = (1 << binomial2(n)) - 1
+    K = TabulatedTournament.from_bits(n, bits)
+    assert K.name == f"tabulated-{n}-{bits:x}"
+    assert K.orient(0, n - 1) is Direction.FORWARD
+
+
 # ------------------------------------------------------------ name lookup
 
 

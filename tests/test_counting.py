@@ -12,7 +12,6 @@ from tourlab.counting import (
     inversions_upto,
     prior_greater_counts,
     ranks_of_values,
-    warm_kernel,
 )
 
 
@@ -95,8 +94,3 @@ def test_identity_and_reversal_counts():
     rev = list_injection(list(range(n - 1, -1, -1)))
     assert inversions_upto(ident, n) == 0
     assert inversions_upto(rev, n) == n * (n - 1) // 2
-
-
-def test_warm_kernel_idempotent():
-    warm_kernel()
-    warm_kernel()
