@@ -718,6 +718,22 @@ class FiniteOrientedGraph:
     def in_neighbors(self, v: int) -> tuple[int, ...]:
         return self._in[v]
 
+    def component_roots(self) -> Iterator[int]:
+        """The least vertex of each weak component, in increasing order."""
+        seen: set[int] = set()
+        for v in self.vertices:
+            if v in seen:
+                continue
+            yield v
+            seen.add(v)
+            stack = [v]
+            while stack:
+                x = stack.pop()
+                for w in self._out[x] + self._in[x]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+
     def __repr__(self):
         return f"<FiniteOrientedGraph {self.name}: n={self.n}, m={len(self.edges)}>"
 
@@ -729,7 +745,9 @@ class PresentedGraph:
     tuples and must be a pure total function; results are cached.  A
     generator that knows it contains an infinite directed path can certify
     that, making the avoidability of the graph decidable without
-    exploration.
+    exploration.  `component_roots()` streams one vertex of each weak
+    component; a graph built without that stream hands out vertex 0 alone,
+    as if it were weakly connected.
     """
 
     is_finite = False
@@ -744,7 +762,7 @@ class PresentedGraph:
         self._adjacency = adjacency
         self.name = name
         self.certified_infinite_path = certified_infinite_path
-        self.component_roots = component_roots
+        self.component_roots = component_roots or (lambda: iter((0,)))
         self._cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def _entry(self, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

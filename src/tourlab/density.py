@@ -217,12 +217,9 @@ def rank_decompose(K: TournamentOracle, n: int) -> RankDecomposition:
     # itself, so alpha[j] is final
     for j0, j1 in reversed(_tiles(n)):
         tile = K.forward_tile(j0, j1)
-        for j in range(j1 - 1, j0, -1):  # rows raising indices inside the tile
-            inside = alpha[j0:j]
-            np.maximum(inside, np.where(tile[j - j0, j0:j], alpha[j] + 1, 0), out=inside)
-        # then every index below the tile at once
-        raised = np.where(tile[:, :j0], alpha[j0:j1, None] + 1, 0).max(axis=0)
-        np.maximum(alpha[:j0], raised, out=alpha[:j0])
+        for j in range(j1 - 1, j0 - 1, -1):
+            below = alpha[:j]
+            np.maximum(below, np.where(tile[j - j0, :j], alpha[j] + 1, 0), out=below)
     alpha.setflags(write=False)
     # the identity layout gives every index i the value (0, i), so only the
     # indices above level zero override it; beyond the prefix the map stays

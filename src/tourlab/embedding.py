@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Container, Iterator, Optional, Sequence, Union
 
-from .analysis import DEFAULT_BUDGET, _least_first_peel, gamma, is_acyclic
+from .analysis import DEFAULT_BUDGET, _find_cycle, _least_first_peel, gamma, is_acyclic
 from .core import (
     FiniteOrientedGraph,
     OrdinalInjectionTournament,
@@ -269,46 +269,41 @@ def find_transitive_subtournament(
 
 
 def embed_finite_acyclic(
-    G: FiniteOrientedGraph,
+    G: Graph,
+    vertices: Sequence[int],
     K: TournamentOracle,
     pool: Sequence[int],
-    pins: Optional[dict[int, int]] = None,
-) -> EmbeddingMap:
-    """Total valid embedding of a finite acyclic G into K, extending pins,
-    with every unpinned vertex landing inside the pool.
+    phi: EmbeddingMap,
+) -> None:
+    """Extend phi over a finite acyclic vertex set of any graph G.
 
-    Unpinned vertices are laid out along a transitive chain found in the
-    pool, in topological order, which settles all edges among them; an
-    edge that ends up mapping against K (necessarily involving a pin or
-    the pool's relation to it) raises with that edge attached.
+    The vertices phi already maps are the pins; every other one lands
+    inside the pool, laid out along a transitive chain found there in
+    least-first topological order, which settles all edges among them.
+    Only edges among `vertices` are judged: one that ends up mapping
+    against K (necessarily involving a pin or the pool's relation to it)
+    raises with that edge attached.
     """
-    pins = dict(pins or {})
-    ok, cycle = is_acyclic(G)
-    if not ok:
+    outs = {v: G.out_neighbors(v) for v in vertices}
+    cycle = _find_cycle(outs)
+    if cycle is not None:
         raise CycleFoundError("finite embedding needs an acyclic graph", cycle)
-    for g in pins:
-        if not (0 <= g < G.n):
-            raise ValueError(f"pinned vertex {g} not in the graph")
 
-    freeset = {v for v in G.vertices if v not in pins}
-    chain = find_transitive_subtournament(K, pool, len(freeset))
-
-    indeg = {v: sum(1 for u in G.in_neighbors(v) if u in freeset) for v in freeset}
-    topo = _least_first_peel(indeg, G.out_neighbors)
-
-    phi = EmbeddingMap(K)
-    for g, k in pins.items():
-        phi.assign(g, k)
-    for v, k in zip(topo, chain):
+    waiting = {v: 0 for v in outs if v not in phi}
+    for v in waiting:
+        for w in outs[v]:
+            if w in waiting:
+                waiting[w] += 1
+    chain = find_transitive_subtournament(K, pool, len(waiting))
+    for v, k in zip(_least_first_peel(waiting, outs.__getitem__), chain):
         phi.assign(v, k)
 
-    bad = phi.violations(G)
-    if bad:
-        u, v = bad[0]
-        raise PinIncompatibilityError(
-            f"edge ({u},{v}) maps against the target tournament", edge=(u, v)
-        )
-    return phi
+    for u, ws in outs.items():
+        for w in ws:
+            if w in outs and not K.has_edge(phi[u], phi[w]):
+                raise PinIncompatibilityError(
+                    f"edge ({u},{w}) maps against the target tournament", edge=(u, w)
+                )
 
 
 # ----------------------------------------------------- infiniteness oracles
@@ -571,12 +566,7 @@ def spanning_embed(
     steps: list[SpanStep] = []
     machines: list[_Machine] = []
 
-    if G.is_finite:
-        root_stream = iter(_finite_component_roots(G))
-    elif G.component_roots is not None:
-        root_stream = G.component_roots()
-    else:
-        root_stream = iter((0,))
+    root_stream = G.component_roots()
 
     def start_machine(k_vertex: int) -> bool:
         r = next(root_stream, None)
@@ -645,13 +635,8 @@ def spanning_embed(
         pool = oracle.enumerate_in_class(
             constraints, phi._image, need, start=k_vertex + 1
         )
-        # the chunk's graph numbers each vertex by its position in the chunk
-        local = {v: i for i, v in enumerate(chunk)}
-        edges = [(local[v], local[w]) for v in chunk for w in G.out_neighbors(v) if w in local]
-        sub = FiniteOrientedGraph(len(chunk), edges)
-        emb = embed_finite_acyclic(sub, K, pool, pins={local[v_j]: k_vertex})
-        for i, k in emb.mapping.items():
-            phi.assign(chunk[i], k)
+        phi.assign(v_j, k_vertex)
+        embed_finite_acyclic(G, chunk, K, pool, phi)
         steps.append(SpanStep(k_vertex, m.id, f, i_j, v_j, tuple(chunk)))
         m.frontier = i_j
         return True
@@ -696,21 +681,3 @@ def _rotated(active: list[_Machine], shift: int) -> Iterator[_Machine]:
     n = len(active)
     for i in range(n):
         yield active[(shift + i) % n]
-
-
-def _finite_component_roots(G: FiniteOrientedGraph) -> list[int]:
-    seen: set[int] = set()
-    roots = []
-    for v in G.vertices:
-        if v in seen:
-            continue
-        roots.append(v)
-        stack = [v]
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            for w in G.out_neighbors(x) + G.in_neighbors(x):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return roots

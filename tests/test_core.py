@@ -527,6 +527,16 @@ def test_out_stars_component_roots():
     assert [next(it) for _ in range(4)] == [0, 3, 6, 9]
 
 
+def test_finite_component_roots():
+    # components {0, 3}, {1} and {2, 4, 5}; neither 0 nor 2 is a source
+    G = FiniteOrientedGraph(6, [(3, 0), (5, 2), (5, 4)])
+    assert list(G.component_roots()) == [0, 1, 2]
+
+
+def test_presented_graph_without_roots_starts_at_zero():
+    assert list(anti_path().component_roots()) == [0]
+
+
 # ------------------------------------------------------------ file formats
 
 

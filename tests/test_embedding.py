@@ -9,6 +9,7 @@ from tourlab.core import (
     FactorialBlock,
     FiniteOrientedGraph,
     OrdinalInjectionTournament,
+    PresentedGraph,
     SeededRandom,
     SplitTransitive,
     TransitiveOmega,
@@ -291,7 +292,9 @@ def test_transitive_extraction_asks_one_query_per_candidate(seed, size):
 
 def test_embed_finite_acyclic_plain():
     G = diamond()
-    phi = embed_finite_acyclic(G, SeededRandom(2), pool=list(range(8)))
+    K = SeededRandom(2)
+    phi = EmbeddingMap(K)
+    embed_finite_acyclic(G, G.vertices, K, list(range(8)), phi)
     assert len(phi) == 4 and phi.is_valid(G)
     assert all(k < 8 for k in phi.mapping.values())
 
@@ -299,28 +302,46 @@ def test_embed_finite_acyclic_plain():
 def test_embed_finite_acyclic_with_pin():
     G = path3()
     K = TransitiveOmega()
-    phi = embed_finite_acyclic(G, K, pool=[10, 11], pins={0: 3})
-    assert phi[0] == 3 and phi.is_valid(G)
+    phi = EmbeddingMap(K)
+    phi.assign(0, 3)
+    embed_finite_acyclic(G, G.vertices, K, [10, 11], phi)
+    assert phi.mapping == {0: 3, 1: 10, 2: 11} and phi.is_valid(G)
 
 
 def test_embed_finite_acyclic_pin_conflict():
     # pinning the path's head above its tail cannot work in the upward order
     G = path3()
     K = TransitiveOmega()
+    phi = EmbeddingMap(K)
+    phi.assign(0, 50)
     with pytest.raises(PinIncompatibilityError) as e:
-        embed_finite_acyclic(G, K, pool=[1, 2], pins={0: 50})
-    assert e.value.edge is not None
+        embed_finite_acyclic(G, G.vertices, K, [1, 2], phi)
+    assert e.value.edge == (0, 1)
 
 
 def test_embed_finite_acyclic_rejects_cycle():
-    G = FiniteOrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
-    with pytest.raises(CycleFoundError):
-        embed_finite_acyclic(G, TransitiveOmega(), pool=list(range(4)))
+    # the cycle avoids vertex 0, so it is named by the graph's own vertices
+    G = FiniteOrientedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 1)])
+    K = TransitiveOmega()
+    phi = EmbeddingMap(K)
+    with pytest.raises(CycleFoundError) as e:
+        embed_finite_acyclic(G, G.vertices, K, list(range(4)), phi)
+    assert sorted(e.value.cycle) == [1, 2, 3]
+    assert len(phi) == 0
 
 
-def test_embed_finite_acyclic_bad_pin_vertex():
-    with pytest.raises(ValueError):
-        embed_finite_acyclic(path3(), TransitiveOmega(), pool=[0, 1], pins={9: 0})
+def test_embed_finite_acyclic_extends_over_a_subset():
+    # vertices 1..3 of the anti-path, pinned at 2, into a map that already
+    # holds vertex 0: its image stays, and its edge 0 -> 1, which maps
+    # against K, is not judged
+    G = anti_path()
+    K = TransitiveOmega()
+    phi = EmbeddingMap(K)
+    phi.assign(0, 100)
+    phi.assign(2, 5)
+    embed_finite_acyclic(G, [1, 2, 3], K, [6, 7], phi)
+    assert phi.mapping == {0: 100, 2: 5, 1: 6, 3: 7}
+    assert phi.violations(G) == [(0, 1)]
 
 
 # ----------------------------------------------------------------- oracles
@@ -724,6 +745,26 @@ def test_spanning_components_do_not_mix():
     for m in res.machines:
         stars = {v // 3 for c in m.cells.cells for v in c}
         assert len(stars) == 1
+
+
+def test_spanning_reports_chunk_cycle_in_graph_numbering():
+    # the anti-path with a directed triangle far out in the numbering, hung
+    # from vertex 4: the step whose chunk takes the triangle names it by
+    # the graph's own vertices
+    T = 10**6
+    ins = {T: (4, T + 2), T + 1: (T,), T + 2: (T + 1,)}
+    base = anti_path()
+
+    def adj(v):
+        if v in ins:
+            return (ins[v], (T + (v - T + 1) % 3,))
+        outs = base.out_neighbors(v)
+        return (base.in_neighbors(v), outs + (T,) if v == 4 else outs)
+
+    G = PresentedGraph(adj, name="anti-path-with-triangle")
+    with pytest.raises(CycleFoundError) as e:
+        spanning_embed(G, TransitiveOmega(), horizon=50)
+    assert sorted(e.value.cycle) == [T, T + 1, T + 2]
 
 
 def _anti_paths(k, L):
