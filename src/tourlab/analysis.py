@@ -156,7 +156,9 @@ class _ClosureWalk:
     component C gets the bound |C| + the sum of the bounds at the far ends
     of the edges leaving C, saturated at budget + 1.  It bounds |Γ(x)| from
     above for every x in C, and is exact when the components reached from
-    C form a tree, as in forests and paths.
+    C form a tree, as in forests and paths.  `cyclic` turns True at an edge
+    into a vertex on the stack, which closes a cycle; every cycle through a
+    finished vertex holds such an edge.
     """
 
     def __init__(self, step: Callable[[int], Sequence[int]], budget: int):
@@ -164,6 +166,7 @@ class _ClosureWalk:
         self.budget = budget
         self.bound: dict[int, int] = {}  # finished vertices
         self.fresh: dict[int, int] = {}  # DFS index of the last root's new vertices
+        self.cyclic = False
 
     def fits(self, v: int) -> bool:
         """True when |Γ(v)| <= budget is certain; False when |Γ(v)| may
@@ -172,39 +175,46 @@ class _ClosureWalk:
             return True  # Γ(v) lies inside an earlier root's closure
         step, bound, cap = self.step, self.bound, self.budget + 1
         index = self.fresh = {v: 0}
-        low, ext = {v: 0}, {v: 0}  # ext[x]: bounds beyond x's component
+        low, ext = [0], [0]  # by DFS index; ext: bounds beyond the component
         stack = [v]
-        work = [(v, iter(step(v)))]
+        work = [(v, 0, iter(step(v)))]
         while work:
-            x, it = work[-1]
+            x, i, it = work[-1]
             for w in it:
                 if w in bound:
-                    ext[x] += bound[w]
-                elif w in index:
-                    low[x] = min(low[x], index[w])  # w is in x's component
-                elif len(index) == self.budget:
+                    ext[i] += bound[w]
+                elif w in index:  # w is on the stack, so x -> w closes a cycle
+                    self.cyclic = True
+                    if index[w] < low[i]:
+                        low[i] = index[w]
+                elif len(low) == self.budget:
                     return False  # more than budget vertices reached from v
                 else:
-                    index[w] = low[w] = len(index)
-                    ext[w] = 0
+                    j = index[w] = len(low)
+                    low.append(j)
+                    ext.append(0)
                     stack.append(w)
-                    work.append((w, iter(step(w))))
+                    work.append((w, j, iter(step(w))))
                     break
             else:
                 work.pop()
-                if low[x] == index[x]:
-                    comp = [stack.pop()]
-                    while comp[-1] != x:
-                        comp.append(stack.pop())
-                    b = min(cap, len(comp) + sum(ext[y] for y in comp))
-                    for y in comp:
-                        bound[y] = b
-                if work:
-                    p = work[-1][0]
-                    if x in bound:
-                        ext[p] += bound[x]
+                if low[i] == i:  # x closes its component
+                    if stack[-1] == x:
+                        stack.pop()
+                        b = bound[x] = min(cap, 1 + ext[i])
                     else:
-                        low[p] = min(low[p], low[x])
+                        comp = [stack.pop()]
+                        while comp[-1] != x:
+                            comp.append(stack.pop())
+                        b = min(cap, len(comp) + sum(ext[index[y]] for y in comp))
+                        for y in comp:
+                            bound[y] = b
+                    if work:
+                        ext[work[-1][1]] += b
+                else:  # x's component is still open, so x has a parent
+                    p = work[-1][1]
+                    if low[i] < low[p]:
+                        low[p] = low[i]
         return bound[v] <= self.budget
 
     def forget_last(self) -> None:
@@ -231,7 +241,8 @@ def classify_unavoidability(
     an exact `gamma` count runs only for a vertex whose closure bound
     exceeds the budget.  `budget` still caps each closure's expansions,
     and the verdict, witness and reason are those of one `gamma` call per
-    vertex and direction.
+    vertex and direction.  When every closure fits and neither walk saw a
+    cycle, the explored region is not read a second time.
     """
     if G.is_finite:
         ok, cycle = is_acyclic(G)
@@ -269,6 +280,8 @@ def classify_unavoidability(
             # find a cycle, and the explored region is checked below
             break
 
+    if failure is None and not any(walk.cyclic for walk in walks.values()):
+        return Classification("unavoidable")
     explored = set(partial).union(*(walk.bound for walk in walks.values()))
     adj = {v: G.out_neighbors(v) for v in explored}
     cycle = _find_cycle(adj)

@@ -913,37 +913,45 @@ _MAX_BLOCK = 6
 class _RandomBlockChain:
     """Seeded acyclic presented graph: random DAG blocks of 1 to _MAX_BLOCK
     vertices joined by alternating connectors, so directed paths never
-    cross two connectors.  Each pair of block g is hashed once, in the last
-    round of pair_hash(seed, g, .) only: the first two are shared by the
-    block."""
+    cross two connectors.  Blocks are hashed _BATCH at a time, in arrays
+    as SeededRandom tiles are; block g keeps its pair bits as one int, bit
+    a*_MAX_BLOCK + b being pair_hash(seed, g, 1 + a*_MAX_BLOCK + b) & 1."""
+
+    _BATCH = 32
 
     def __init__(self, seed: int):
-        self._h0 = _mix64((seed & _MASK64) ^ _PHI64)
+        self._h0 = np.uint64(_mix64((seed & _MASK64) ^ _PHI64))
         self._starts = [0]  # block g occupies [starts[g], starts[g+1])
-        self._block: tuple[int, list] = (-1, [])  # the last block's adjacency
+        self._pairs: list[int] = []
 
     def block_of(self, v: int) -> int:
-        while self._starts[-1] <= v:  # close the last block open
-            h = _keyed_round(self._h0, len(self._starts) - 1, _MIX_A)
-            self._starts.append(self._starts[-1] + 1 + _keyed_round(h, 0, _MIX_B) % _MAX_BLOCK)
+        while self._starts[-1] <= v:  # hash the next _BATCH blocks
+            g = len(self._pairs)
+            h = np.arange(g + 1, g + self._BATCH + 1, dtype=np.uint64) * np.uint64(_MIX_A)
+            h ^= self._h0
+            _mix64_inplace(h)  # pair_hash's first two rounds, one per block
+            k1 = np.arange(1, _MAX_BLOCK * (_MAX_BLOCK - 1) + 2, dtype=np.uint64)  # k + 1, key k
+            h = h[:, None] ^ k1 * np.uint64(_MIX_B)
+            _mix64_inplace(h)  # the last round, one per block and key
+            sizes = h[:, 0] % np.uint64(_MAX_BLOCK) + np.uint64(1)
+            self._starts += (np.cumsum(sizes) + np.uint64(self._starts[-1])).tolist()
+            h[:, 1:] &= np.uint64(1)
+            h[:, 1:] <<= k1[:-1] - np.uint64(1)  # key k to bit k - 1
+            self._pairs += np.bitwise_or.reduce(h[:, 1:], axis=1).tolist()
         return bisect.bisect_right(self._starts, v) - 1
 
     def adjacency(self, v: int):
         g = self.block_of(v)
-        if self._block[0] != g:
-            lo, hi, h = self._starts[g], self._starts[g + 1], _keyed_round(self._h0, g, _MIX_A)
-            ins, outs = [[] for _ in range(lo, hi)], [[] for _ in range(lo, hi)]
-            for b in range(hi - lo):  # offsets a < b: edges point low -> high
-                for a in range(b):
-                    if _keyed_round(h, 1 + a * _MAX_BLOCK + b, _MIX_B) & 1:
-                        outs[a].append(lo + b)
-                        ins[b].append(lo + a)
-            # connector between g and g+1: even g points right, odd g points left
-            (outs if g % 2 == 0 else ins)[-1].append(hi)
-            if g > 0:
-                (ins if (g - 1) % 2 == 0 else outs)[0].append(lo - 1)
-            self._block = (g, [(tuple(sorted(i)), tuple(sorted(o))) for i, o in zip(ins, outs)])
-        return self._block[1][v - self._starts[g]]
+        lo, hi, bits = self._starts[g], self._starts[g + 1], self._pairs[g]
+        off = v - lo  # offsets a < b of a block: edges point low -> high
+        ins = [lo + a for a in range(off) if bits >> (a * _MAX_BLOCK + off) & 1]
+        outs = [lo + b for b in range(off + 1, hi - lo) if bits >> (off * _MAX_BLOCK + b) & 1]
+        # connector between g and g+1: even g points right, odd g points left
+        if v == hi - 1:
+            (outs if g % 2 == 0 else ins).append(hi)
+        if v == lo and g > 0:
+            (ins if g % 2 == 1 else outs).insert(0, lo - 1)
+        return tuple(ins), tuple(outs)
 
 
 def random_presented(seed: int) -> PresentedGraph:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tourlab import analysis
 from tourlab.analysis import (
     DEFAULT_BUDGET,
     Classification,
@@ -343,6 +344,8 @@ def presented_graphs(draw):
 
 @given(presented_graphs(), st.integers(1, 25))
 @example((4, [(0, 1), (1, 2), (2, 3), (3, 1)], 0), 5)  # a cycle the failing gamma misses
+@example((8, [(5, 0), (5, 6), (6, 7), (7, 5)], None), 5)  # reached only against the edges
+@example((8, [(0, 1), (5, 6), (6, 7), (7, 5), (6, 1)], None), 3)  # reached from a later root
 @settings(max_examples=400, deadline=None)
 def test_classifier_matches_per_vertex_reference(graph, budget):
     got = classify_unavoidability(_presented(*graph), budget=budget)
@@ -397,7 +400,21 @@ def test_classifier_work_is_linear_on_long_paths():
 
     G = _CountingGraph(adj)
     assert classify_unavoidability(G, budget=DEFAULT_BUDGET).verdict == "unavoidable"
-    assert G.calls <= 5 * DEFAULT_BUDGET
+    # one neighbor query per vertex and direction: no second pass
+    assert G.calls <= 2 * DEFAULT_BUDGET
+
+
+@pytest.mark.parametrize(
+    "G", [anti_path(), interleaved_forest(), random_presented(3)], ids=lambda G: G.name
+)
+def test_classifier_certifies_acyclic_graphs_without_a_cycle_search(G, monkeypatch):
+    # the walks saw no cycle and every closure fit, so the explored region
+    # is not read again
+    def no_second_pass(adj):
+        raise AssertionError("explored region read twice")
+
+    monkeypatch.setattr(analysis, "_find_cycle", no_second_pass)
+    assert classify_unavoidability(G, budget=DEFAULT_BUDGET).verdict == "unavoidable"
 
 
 def test_classifier_work_is_linear_into_a_cycle():

@@ -470,10 +470,12 @@ def _block_chain_reference(seed, n, max_block=6):
 @pytest.mark.parametrize("seed", [0, 1, 5, 77, 2**40 + 3])
 def test_random_graph_matches_scalar_pair_hash(seed):
     n = 3000
-    want = _block_chain_reference(seed, n)
     order = list(range(n))
-    if seed % 2:  # out of order too, so blocks are left and come back
+    if seed % 2:  # out of order too, so blocks are read after later batches
         order = np.random.default_rng(seed).permutation(n).tolist()
+    if seed == 0:  # a far vertex first: many batches hashed at once, then read
+        order = [100_000] + order
+    want = _block_chain_reference(seed, max(order) + 1)
     G = random_presented(seed)
     for v in order:
         assert (G.in_neighbors(v), G.out_neighbors(v)) == want[v], v
