@@ -12,12 +12,10 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .core import FiniteOrientedGraph, PresentedGraph
+from .core import DEFAULT_BUDGET, FiniteOrientedGraph, PresentedGraph
 from .errors import BudgetExhaustedError
 
 Graph = Union[FiniteOrientedGraph, PresentedGraph]
-
-DEFAULT_BUDGET = 10_000
 
 
 @dataclass(frozen=True)

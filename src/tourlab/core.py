@@ -684,6 +684,35 @@ def tournament_from_name(
 # ---------------------------------------------------------------------------
 # graphs
 
+# closure expansions a budgeted exploration of a presented graph may spend
+DEFAULT_BUDGET = 10_000
+
+
+def _weak_roots(G, vertices: Iterable[int], budget: int) -> Iterator[int]:
+    """The least vertex of each weak component of G, in increasing order.
+
+    A root is yielded before its component is searched, along in- and
+    out-edges; a component needing more than `budget` expansions ends the
+    stream, since no later vertex is then known to lie outside it."""
+    seen: set[int] = set()  # reached, and not yet passed by the walk
+    for v in vertices:
+        if v in seen:
+            seen.remove(v)  # the components left to search lie above v
+            continue
+        yield v
+        seen.add(v)
+        stack, spent = [v], 0
+        while stack and spent < budget:
+            spent += 1
+            x = stack.pop()
+            for w in itertools.chain(G.in_neighbors(x), G.out_neighbors(x)):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if stack:
+            return
+        seen.remove(v)
+
 
 class FiniteOrientedGraph:
     """A finite oriented graph: no loops, at most one edge per vertex pair."""
@@ -718,21 +747,10 @@ class FiniteOrientedGraph:
     def in_neighbors(self, v: int) -> tuple[int, ...]:
         return self._in[v]
 
-    def component_roots(self) -> Iterator[int]:
-        """The least vertex of each weak component, in increasing order."""
-        seen: set[int] = set()
-        for v in self.vertices:
-            if v in seen:
-                continue
-            yield v
-            seen.add(v)
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                for w in self._out[x] + self._in[x]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
+    def component_roots(self, budget: int = DEFAULT_BUDGET) -> Iterator[int]:
+        """The least vertex of each weak component, in increasing order;
+        exact, since no component passes n vertices."""
+        return _weak_roots(self, range(self.n), self.n)
 
     def __repr__(self):
         return f"<FiniteOrientedGraph {self.name}: n={self.n}, m={len(self.edges)}>"
@@ -745,9 +763,10 @@ class PresentedGraph:
     tuples and must be a pure total function; results are cached.  A
     generator that knows it contains an infinite directed path can certify
     that, making the avoidability of the graph decidable without
-    exploration.  `component_roots()` streams one vertex of each weak
-    component; a graph built without that stream hands out vertex 0 alone,
-    as if it were weakly connected.
+    exploration.  `component_roots(budget)` streams the least vertex of
+    each weak component, found by searching the adjacency; a component
+    that passes the budget ends the stream, so a weakly connected infinite
+    graph hands out vertex 0 alone.
     """
 
     is_finite = False
@@ -757,12 +776,10 @@ class PresentedGraph:
         adjacency: Callable[[int], tuple[Sequence[int], Sequence[int]]],
         name: str = "presented",
         certified_infinite_path: bool = False,
-        component_roots: Optional[Callable[[], Iterator[int]]] = None,
     ):
         self._adjacency = adjacency
         self.name = name
         self.certified_infinite_path = certified_infinite_path
-        self.component_roots = component_roots or (lambda: iter((0,)))
         self._cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def _entry(self, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -778,6 +795,9 @@ class PresentedGraph:
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         return self._entry(v)[1]
+
+    def component_roots(self, budget: int = DEFAULT_BUDGET) -> Iterator[int]:
+        return _weak_roots(self, itertools.count(), budget)
 
     def __repr__(self):
         return f"<PresentedGraph {self.name}>"
@@ -819,17 +839,7 @@ def out_stars() -> PresentedGraph:
             return ((), (v + 1, v + 2))
         return ((v - r,), ())
 
-    def roots():
-        k = 0
-        while True:
-            yield 3 * k
-            k += 1
-
-    return PresentedGraph(
-        adj,
-        name="out-stars",
-        component_roots=roots,
-    )
+    return PresentedGraph(adj, name="out-stars")
 
 
 class _DiagonalLayout:
@@ -893,17 +903,7 @@ def interleaved_forest() -> PresentedGraph:
             (ins if points_forward(k, t - 1) else outs).append(w)
         return (tuple(ins), tuple(outs))
 
-    def roots():
-        k = 0
-        while True:
-            yield layout.ident(k, 0)
-            k += 1
-
-    return PresentedGraph(
-        adj,
-        name="interleaved-forest",
-        component_roots=roots,
-    )
+    return PresentedGraph(adj, name="interleaved-forest")
 
 
 # vertices in the largest block of a `random_presented` graph
@@ -960,8 +960,9 @@ def random_presented(seed: int) -> PresentedGraph:
 
     It is not weakly connected in general: a block's random pairs can
     split it, and the connector edges then join only some of its parts
-    (in random-graph:5, vertex 1 is isolated).  No component roots are
-    presented.
+    (in random-graph:5, vertex 1 is isolated).  Its component roots are
+    the ones every presented graph finds by weak search; the stream ends
+    only at a component that passes the budget.
     """
     chain = _RandomBlockChain(seed)
     return PresentedGraph(chain.adjacency, name=f"random-graph:{seed}")

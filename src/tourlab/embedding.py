@@ -566,7 +566,7 @@ def spanning_embed(
     steps: list[SpanStep] = []
     machines: list[_Machine] = []
 
-    root_stream = G.component_roots()
+    root_stream = G.component_roots(budget)
 
     def start_machine(k_vertex: int) -> bool:
         r = next(root_stream, None)

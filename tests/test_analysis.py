@@ -1,5 +1,7 @@
 """Acyclicity, closures, and the unavoidability classifier."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -432,3 +434,100 @@ def test_classifier_work_is_linear_into_a_cycle():
     c = classify_unavoidability(G, budget=DEFAULT_BUDGET)
     assert c == Classification("avoidable", witness=("cycle", [*range(1, L), 0]))
     assert G.calls <= 5 * DEFAULT_BUDGET
+
+
+# ------------------------------------------------ the paper's graph symmetries
+#
+# Reversing every edge maps tournaments to tournaments, so G is unavoidable
+# exactly when its reverse is; adding the edges of the transitive closure
+# keeps every closure and every cycle.  The classifier's criterion (finite
+# closures both ways, no cycle) is invariant under both.
+
+
+def _reverse(G):
+    if G.is_finite:
+        return FiniteOrientedGraph(G.n, [(w, u) for u, w in G.edges])
+    return PresentedGraph(
+        lambda v: (G.out_neighbors(v), G.in_neighbors(v)), name=f"reverse-{G.name}"
+    )
+
+
+def _closure(G, budget):
+    """G plus every edge u -> w of its transitive closure for which both
+    Γ+(u) and Γ-(w) fit the budget.  The in- and out-lists then agree, and
+    adding any set of closure edges keeps every closure and every cycle."""
+
+    @functools.lru_cache(maxsize=None)
+    def fitting(v, direction):
+        """Γ(v) without v, or None when it passes the budget."""
+        try:
+            return gamma(G, v, direction, budget=budget).members - {v}
+        except BudgetExhaustedError:
+            return None
+
+    def adj(v):
+        if G.is_finite and v >= G.n:
+            return (), ()
+        lists = []
+        for direction, other, own in (("-", "+", G.in_neighbors), ("+", "-", G.out_neighbors)):
+            added = [w for w in fitting(v, direction) or () if fitting(w, other) is not None]
+            lists.append(tuple(sorted({*own(v), *added})))
+        return tuple(lists)
+
+    return PresentedGraph(adj, name=f"closure-{G.name}")
+
+
+def _ray(start, step):
+    """An uncertified ray from `start`, pointing up (step 1) or down
+    toward `start` (step -1); the vertices below `start` are isolated."""
+
+    def adj(v):
+        if v < start:
+            return (), ()
+        below = (v - 1,) if v > start else ()
+        return (below, (v + 1,)) if step == 1 else ((v + 1,), below)
+
+    return PresentedGraph(adj, name=f"ray{step:+d}@{start}")
+
+
+@st.composite
+def finite_graphs(draw, cyclic):
+    """A random DAG, or one with a directed cycle laid over it."""
+    n = draw(st.integers(3, 15))
+    G = random_dag(draw(st.integers(0, 2**32 - 1)), n=n, p=0.3)
+    if not cyclic:
+        return G
+    cycle = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=n, unique=True))
+    arcs = set(zip(cycle, cycle[1:] + cycle[:1]))
+    return FiniteOrientedGraph(n, arcs | {(u, w) for u, w in G.edges if (w, u) not in arcs})
+
+
+SYMMETRY_GRAPHS = st.one_of(
+    st.integers(0, 10**6).map(random_presented),
+    finite_graphs(cyclic=False),
+    finite_graphs(cyclic=True),
+    st.builds(_ray, st.integers(0, 20), st.sampled_from([1, -1])),
+)
+
+
+@given(SYMMETRY_GRAPHS)
+@example(_ray(0, -1))  # only the '-' closures are infinite
+@example(_ray(3, 1))
+@settings(max_examples=60, deadline=None)
+def test_verdict_is_kept_by_reversal_and_closure(G):
+    budget = 200
+    verdict = classify_unavoidability(G, budget=budget).verdict
+    assert classify_unavoidability(_reverse(G), budget=budget).verdict == verdict
+    assert classify_unavoidability(_closure(G, budget), budget=budget).verdict == verdict
+
+
+@given(finite_graphs(cyclic=True))
+@settings(max_examples=40, deadline=None)
+def test_reversed_cycle_witness_is_a_cycle_of_the_reverse(G):
+    kind, cycle = classify_unavoidability(G).witness
+    assert kind == "cycle"
+    R = _reverse(G)
+    _assert_cycle_valid(R, cycle[::-1])
+    kind, own = classify_unavoidability(R).witness
+    assert kind == "cycle"
+    _assert_cycle_valid(R, own)

@@ -1,5 +1,6 @@
 """Core types, oracles, and file formats."""
 
+import itertools
 import math
 import random
 import re
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tourlab.core import (
+    DEFAULT_BUDGET,
     Direction,
     ExponentialThreshold,
     FactorialBlock,
@@ -524,9 +526,37 @@ def test_presented_from_name():
 
 
 def test_out_stars_component_roots():
-    G = out_stars()
-    it = G.component_roots()
-    assert [next(it) for _ in range(4)] == [0, 3, 6, 9]
+    # each star's centre
+    it = out_stars().component_roots()
+    assert [next(it) for _ in range(200)] == [3 * k for k in range(200)]
+
+
+def test_interleaved_forest_component_roots():
+    # each component's local vertex 0, in component order
+    it = interleaved_forest().component_roots()
+    layout = _DiagonalLayout()
+    assert [next(it) for _ in range(200)] == [layout.ident(k, 0) for k in range(200)]
+
+
+def _weak_component(G, v):
+    """v's weak component, by an unbudgeted search."""
+    seen, stack = {v}, [v]
+    while stack:
+        x = stack.pop()
+        for w in G.in_neighbors(x) + G.out_neighbors(x):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_graph_roots_are_least_in_their_components(seed):
+    G = random_presented(seed)
+    roots = list(itertools.takewhile(lambda r: r < 500, G.component_roots()))
+    assert roots == [v for v in range(500) if min(_weak_component(G, v)) == v]
+    if seed == 5:
+        assert roots[:2] == [0, 1]  # vertex 1 is isolated
 
 
 def test_finite_component_roots():
@@ -535,8 +565,18 @@ def test_finite_component_roots():
     assert list(G.component_roots()) == [0, 1, 2]
 
 
+def test_finite_component_roots_pass_the_budget():
+    # a first component past the default budget still leaves the rest listed
+    n = DEFAULT_BUDGET + 2
+    G = FiniteOrientedGraph(n + 3, [(v, v + 1) for v in range(n - 1)])
+    assert list(G.component_roots()) == [0, n, n + 1, n + 2]
+    assert list(G.component_roots(budget=10)) == [0, n, n + 1, n + 2]
+
+
 def test_presented_graph_without_roots_starts_at_zero():
+    # one infinite component passes any budget, which ends the stream
     assert list(anti_path().component_roots()) == [0]
+    assert list(forward_path().component_roots(budget=50)) == [0]
 
 
 # ------------------------------------------------------------ file formats

@@ -23,6 +23,7 @@ from tourlab.core import (
     read_injection_file,
     tournament_from_name,
 )
+from tourlab.analysis import classify_unavoidability
 from tourlab.density import make_block_scheme
 from tourlab.embedding import (
     AlwaysInfiniteOracle,
@@ -822,3 +823,30 @@ def test_anti_path_covers_value_order_hosts(K):
     res = spanning_embed(anti_path(), K, horizon=horizon)
     assert all(res.phi.has_target(k) for k in range(horizon))
     assert res.phi.is_valid(anti_path())
+
+
+# the five hosts of the dichotomy matrix: three layout hosts, the split
+# host and a random one
+DICHOTOMY_HOSTS = [
+    "transitive-omega",
+    "transitive-omega-star",
+    "split-transitive",
+    "factorial-block",
+    "random:2",
+]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_unavoidable_random_graphs_never_run_out_of_components(seed):
+    # every random graph is unavoidable, so the engine may fail only on its
+    # chunk size limit, never for want of a component to start
+    G = random_presented(seed)
+    assert classify_unavoidability(G).verdict == "unavoidable"
+    for name in DICHOTOMY_HOSTS:
+        G = random_presented(seed)
+        try:
+            res = spanning_embed(G, tournament_from_name(name), horizon=10)
+        except PoolTooSmallError:
+            continue
+        assert all(res.phi.has_target(k) for k in range(10)), name
+        assert res.phi.is_valid(G), name
