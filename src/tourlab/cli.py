@@ -30,6 +30,7 @@ from .density import (
     inversion_density_profile,
     make_block_scheme,
     optimize_scheme,
+    _fmt_param,
 )
 from .embedding import spanning_embed
 from .errors import (
@@ -199,7 +200,7 @@ def _run_optimize(args: argparse.Namespace) -> int:
     )
     print(f"pattern={scheme.pattern}")
     for key, value in sorted(scheme.params.items()):
-        print(f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}")
+        print(f"{key}={_fmt_param(value)}")
     print(f"window={report.window[0]}:{report.window[1]}")
     print(f"attained_at={report.attained_at}")
     print(f"min_density={report.min_window_density}")

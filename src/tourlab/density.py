@@ -310,16 +310,16 @@ def _scheme(pattern: str, params: dict, description: str, runs: Iterator[_Run]) 
 
 
 def _geometric_sizes(r: float, L0: int) -> Iterator[int]:
-    prev = 0
-    cur = float(L0)
+    """L0·r^k, k = 0, 1, ..., for r the exact value of its decimal text,
+    rounded half to even in integers; r > 1 makes them non-decreasing."""
+    a, b = Fraction(repr(r)).as_integer_ratio()
+    num, den = L0, 1
     while True:
-        if prev > (1 << 512) or math.isinf(cur):
-            size = prev * 2
-        else:
-            size = max(prev, int(round(cur)), 1)
-        prev = size
+        size, twice_rem = divmod(2 * num + den, 2 * den)  # floor(num/den + 1/2)
+        if twice_rem == 0 and size % 2:  # a tie: round to even
+            size -= 1
         yield size
-        cur = cur * r
+        num, den = num * a, den * b
 
 
 def _paired_runs(sizes: Iterator[int]) -> Iterator[_Run]:
@@ -352,6 +352,7 @@ def _nested_dip_runs(r: float, q: float, L0: int, W0: int) -> Iterator[_Run]:
     later cycle is placed as a plain block above all earlier values, which
     keeps the map total and keeps every down-set finite.
     """
+    qn, qd = Fraction(repr(q)).as_integer_ratio()
     P = above = 0
     ceiling = None  # top of the plain blocks once the steps are exhausted
     for c, L in enumerate(_geometric_sizes(r, L0)):
@@ -372,7 +373,7 @@ def _nested_dip_runs(r: float, q: float, L0: int, W0: int) -> Iterator[_Run]:
                     )
         if ceiling is None:
             yield _Run(P, L, True, above, top, step)
-            dip = min(max(1, math.ceil(q * L)), L - 1)
+            dip = min(-(-qn * L // qd), L - 1)  # ceil(q·L) >= 1 as q > 0
             above += dip
         else:
             ceiling += L
@@ -417,8 +418,8 @@ def make_block_scheme(
         raise SchemeError("initial width L0 must be an integer of at least 2")
     if pattern != "nested-dip":
         lay = _stacked_runs if pattern == "single-high" else _paired_runs
-        runs = lay(_geometric_sizes(r, L0))
         params = {"r": float(r), "L0": int(L0)}
+        runs = lay(_geometric_sizes(params["r"], L0))
         return _scheme(pattern, params, f"{pattern}(r={r:g},L0={L0})", runs)
     if not (0.0 < q < 1.0):
         raise SchemeError("dip position q must lie strictly between 0 and 1")
@@ -428,7 +429,7 @@ def make_block_scheme(
     if W0 != _DEFAULT_W0:
         params["W0"] = W0
     return _scheme("nested-dip", params, f"nested-dip(r={r:g},q={q:g},L0={L0})",
-                   _nested_dip_runs(r, q, L0, W0))
+                   _nested_dip_runs(params["r"], params["q"], L0, W0))
 
 
 # ---------------------------------------------------------------------------

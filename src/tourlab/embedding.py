@@ -323,10 +323,10 @@ class InfinitenessOracle:
     whose signs vary overrides it.  `decide` says whether an intersection
     is infinite, which for the shipped oracles is exactly when every
     constraint carries its anchor's sign: the conformity the spanning
-    engine asserts each step.  `enumerate_in_class` streams members of
-    `pool_class` in the intersection in increasing vertex order from
-    vertex `start` on, skipping `exclusions`; these are only tested for
-    membership, so a caller may pass a live set without copying it.
+    engine asserts each step.  `enumerate_in_class` returns the first
+    `count` members of `pool_class` in the intersection that the oracle's
+    `_members` stream yields from vertex `start` on, skipping `exclusions`,
+    which it only tests for membership (a caller may pass a live set).
     Enumeration is only meaningful for intersections decided infinite;
     otherwise it may return fewer members than asked, including none.
     """
@@ -340,23 +340,17 @@ class InfinitenessOracle:
         return all(s == self.sign_class(v) for (v, s) in constraints)
 
     def enumerate_in_class(
-        self,
-        constraints: Sequence[Constraint],
-        exclusions: Container[int],
-        count: int,
-        start: int = 0,
+        self, constraints: Sequence[Constraint], exclusions: Container[int],
+        count: int, start: int = 0,
     ) -> list[int]:
+        if not self.decide(constraints):
+            return []
+        free = (w for w in self._members(constraints, start) if w not in exclusions)
+        return list(itertools.islice(free, count))
+
+    def _members(self, constraints: Sequence[Constraint], start: int) -> Iterator[int]:
+        """The intersection's pool-class members from `start` on, ascending."""
         raise NotImplementedError
-
-
-def _free_run(w: int, step: int, exclusions: Container[int], count: int) -> list[int]:
-    """The first `count` of w, w + step, w + 2*step, ... not excluded."""
-    out: list[int] = []
-    while len(out) < count:
-        if w not in exclusions:
-            out.append(w)
-        w += step
-    return out
 
 
 class TransitiveUpOracle(InfinitenessOracle):
@@ -365,11 +359,8 @@ class TransitiveUpOracle(InfinitenessOracle):
 
     pool_class = "+"
 
-    def enumerate_in_class(self, constraints, exclusions, count, start=0):
-        if not self.decide(constraints):
-            return []
-        lo = max((v + 1 for (v, _) in constraints), default=0)
-        return _free_run(max(lo, start), 1, exclusions, count)
+    def _members(self, constraints, start):
+        return itertools.count(max([start] + [v + 1 for (v, _) in constraints]))
 
 
 class AlwaysInfiniteOracle(InfinitenessOracle):
@@ -377,16 +368,16 @@ class AlwaysInfiniteOracle(InfinitenessOracle):
     companion tournament's edges directly.
 
     Almost surely correct for the seeded random family, where every finite
-    sign pattern recurs forever; the scan cap converts a companion that
-    fails to deliver into an explicit inconsistency error instead of a
-    hang.
+    sign pattern recurs forever; the scan cap of SCAN_LIMIT candidates
+    from `start` converts a companion that fails to deliver into an
+    explicit inconsistency error instead of a hang.
     """
 
     pool_class = "+"
+    SCAN_LIMIT = 2_000_000
 
-    def __init__(self, K: TournamentOracle, scan_limit: int = 2_000_000):
+    def __init__(self, K: TournamentOracle):
         self.K = K
-        self.scan_limit = scan_limit
 
     def _satisfies(self, w, constraints):
         for (v, s) in constraints:
@@ -400,18 +391,15 @@ class AlwaysInfiniteOracle(InfinitenessOracle):
         return True
 
     def enumerate_in_class(self, constraints, exclusions, count, start=0):
-        out: list[int] = []
-        w = start
-        while len(out) < count:
-            if w > self.scan_limit:
-                raise OracleInconsistencyError(
-                    f"scanned {self.scan_limit} vertices but found only "
-                    f"{len(out)} of {count} members; the companion "
-                    "tournament does not deliver the promised infinitude"
-                )
-            if w not in exclusions and self._satisfies(w, constraints):
-                out.append(w)
-            w += 1
+        scan = range(start, start + self.SCAN_LIMIT)
+        found = (w for w in scan if w not in exclusions and self._satisfies(w, constraints))
+        out = list(itertools.islice(found, count))
+        if len(out) < count:
+            raise OracleInconsistencyError(
+                f"scanned {self.SCAN_LIMIT} vertices but found only "
+                f"{len(out)} of {count} members; the companion "
+                "tournament does not deliver the promised infinitude"
+            )
         return out
 
 
@@ -430,17 +418,14 @@ class FiniteBelowOracle(InfinitenessOracle):
             raise ValueError("companion injection has no run layout")
         self.layout = K.injection.layout
 
-    def enumerate_in_class(self, constraints, exclusions, count, start=0):
-        if not self.decide(constraints):
-            return []
+    def _members(self, constraints, start):
         bound = -1  # layout values are non-negative, so -1 bounds nothing
         if constraints:
             bound, top = max((self.layout.value(v), v) for (v, _) in constraints)
             run = self.layout.runs[self.layout.cover(top + 1)]
             if run.above == 0:  # every earlier index lies below the whole run
                 start = max(start, run.start)
-        free = (w for w in self.layout.indices_above(bound, start) if w not in exclusions)
-        return list(itertools.islice(free, count))
+        return self.layout.indices_above(bound, start)
 
 
 class SplitTransitiveOracle(InfinitenessOracle):
@@ -455,14 +440,9 @@ class SplitTransitiveOracle(InfinitenessOracle):
     def sign_class(self, v):
         return "+" if v % 2 == 0 else "-"
 
-    def enumerate_in_class(self, constraints, exclusions, count, start=0):
-        if not self.decide(constraints):
-            return []
-        lo = start
-        for (v, _) in constraints:
-            if v % 2 == 0:
-                lo = max(lo, v + 1)
-        return _free_run(lo + lo % 2, 2, exclusions, count)
+    def _members(self, constraints, start):
+        lo = max([start] + [v + 1 for (v, _) in constraints if v % 2 == 0])
+        return itertools.count(lo + lo % 2, 2)
 
 
 def infiniteness_oracle_for(K: TournamentOracle) -> InfinitenessOracle:

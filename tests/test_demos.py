@@ -1,5 +1,7 @@
-"""The demos run end to end and print their headline results."""
+"""The demos run end to end and print their headline results, and the
+README's library tour gives the results its comments state."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -29,3 +31,24 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert HEADLINES[demo] in proc.stdout
+
+
+def test_readme_library_tour():
+    # each expression statement of the tour ends in a comment holding the
+    # repr of its value; every other statement just runs
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        code = compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec")
+        if not isinstance(stmt, ast.Expr):
+            exec(code, namespace)
+            continue
+        comment = lines[stmt.end_lineno - 1][stmt.end_col_offset:].strip()
+        assert comment.startswith("# "), ast.unparse(stmt)
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        assert repr(value) == comment[2:], ast.unparse(stmt)
+        checked += 1
+    assert checked == 6

@@ -1,6 +1,7 @@
 """Density profiles, rank decompositions, and block-scheme search."""
 
 import dataclasses
+import itertools
 import math
 import time
 import tracemalloc
@@ -638,6 +639,37 @@ def test_nested_dip_exhaustion_keeps_climbing():
     vals = [v.minor for v in s.injection.values(4000)]
     assert len(set(vals)) == 4000
     assert "W0" in s.params
+
+
+def _refinable_params():
+    """The nested-dip grid and every point two rounds of refinement reach."""
+    seen, frontier = {}, density._grid_params("nested-dip")
+    for _ in range(3):
+        seen.update((tuple(sorted(p.items())), p) for p in frontier)
+        frontier = [n for p in frontier for n in density._neighbor_params(p)]
+    return list(seen.values())
+
+
+def test_scheme_sizes_and_dips_are_exact():
+    # block k has L0·r^k entries rounded half to even, and a nested cycle of
+    # L entries dips at ceil(q·L), with r and q the values of their decimal
+    # text, on every parameter point the optimizer can visit
+    for p in _refinable_params():
+        r, q = Fraction(repr(p["r"])), Fraction(repr(p["q"]))
+        runs = make_block_scheme("nested-dip", **p).injection.layout.iter_runs()
+        run, k = next(runs), 0
+        while run.start < 10 ** 18:
+            nxt = next(runs)
+            assert run.length == round(p["L0"] * r ** k), (p, k)
+            if nxt.above:  # still nesting
+                dip = min(math.ceil(q * run.length), run.length - 1)
+                assert nxt.above - run.above == dip, (p, k)
+            run, k = nxt, k + 1
+    # a float product gave this block's dip as 15695
+    s = make_block_scheme("nested-dip", r=1.5, q=0.56, L0=64)
+    block = list(itertools.islice(s.injection.layout.iter_runs(), 17))[15:]
+    assert block[0].length == 28025 and block[1].above - block[0].above == 15694
+    assert window_min_density(s, 1000, 10 ** 6)[1] == 766057
 
 
 def test_scheme_parameter_validation():

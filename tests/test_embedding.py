@@ -23,7 +23,7 @@ from tourlab.core import (
     read_injection_file,
     tournament_from_name,
 )
-from tourlab.analysis import classify_unavoidability
+from tourlab.analysis import DEFAULT_BUDGET, classify_unavoidability
 from tourlab.density import make_block_scheme
 from tourlab.embedding import (
     AlwaysInfiniteOracle,
@@ -45,7 +45,10 @@ from tourlab.errors import (
     PinIncompatibilityError,
     PoolTooSmallError,
     SchemeError,
+    TourlabError,
 )
+
+from test_analysis import _closure, _reverse
 
 
 # tournaments induced by catalogue schemes at their default parameters
@@ -390,12 +393,34 @@ def test_always_infinite_oracle_enumerates_by_scanning():
         assert K.has_edge(0, w) and K.has_edge(w, 1)
 
 
-def test_always_infinite_oracle_scan_cap():
+def test_always_infinite_oracle_scan_cap(monkeypatch):
     # in the upward transitive tournament nothing is simultaneously above
-    # 900 and below 5, so a capped scan must fail loudly
-    o = AlwaysInfiniteOracle(TransitiveOmega(), scan_limit=500)
-    with pytest.raises(OracleInconsistencyError):
-        o.enumerate_in_class([(900, "+"), (5, "-")], (), 5)
+    # 900 and below 5, so a capped scan must fail loudly, after testing
+    # exactly SCAN_LIMIT candidates from wherever it starts
+    monkeypatch.setattr(AlwaysInfiniteOracle, "SCAN_LIMIT", 500)
+    o = AlwaysInfiniteOracle(TransitiveOmega())
+    scanned = []
+
+    class Seen:
+        def __contains__(self, w):
+            scanned.append(w)
+            return False
+
+    for start in (0, 700):
+        scanned.clear()
+        with pytest.raises(OracleInconsistencyError, match="scanned 500 vertices"):
+            o.enumerate_in_class([(900, "+"), (5, "-")], Seen(), 5, start=start)
+        assert scanned == list(range(start, start + 500))
+
+
+def test_always_infinite_oracle_scans_past_the_limit():
+    # a scan that starts beyond SCAN_LIMIT still gets SCAN_LIMIT candidates
+    K = SeededRandom(1)
+    start = AlwaysInfiniteOracle.SCAN_LIMIT + 10
+    anchor = start - 5
+    got = AlwaysInfiniteOracle(K).enumerate_in_class([(anchor, "+")], (), 3, start=start)
+    assert len(got) == 3 and got == sorted(got) and got[0] >= start
+    assert all(K.has_edge(anchor, w) for w in got)
 
 
 def test_finite_below_oracle():
@@ -850,3 +875,27 @@ def test_unavoidable_random_graphs_never_run_out_of_components(seed):
             continue
         assert all(res.phi.has_target(k) for k in range(10)), name
         assert res.phi.is_valid(G), name
+
+
+def _span_error(G, K, horizon):
+    """None when the run covers 0..horizon-1 validly, else its error type."""
+    try:
+        res = spanning_embed(G, K, horizon=horizon)
+    except TourlabError as e:
+        return type(e)
+    assert all(res.phi.has_target(k) for k in range(horizon)), (G.name, K.name)
+    assert res.phi.is_valid(G), (G.name, K.name)
+    return None
+
+
+@pytest.mark.parametrize("G_factory", [anti_path, out_stars, interleaved_forest])
+def test_reversed_and_closed_graphs_span_like_the_graph(G_factory):
+    # reversal and the closure edges keep a graph unavoidable, so their runs
+    # into each shipped host (the four deterministic dichotomy hosts and a
+    # random one) cover validly, or end in the error G's run does
+    horizon = 300
+    for name in [*DICHOTOMY_HOSTS[:4], "random:7"]:
+        K = tournament_from_name(name)
+        own = _span_error(G_factory(), K, horizon)
+        for H in (_reverse(G_factory()), _closure(G_factory(), DEFAULT_BUDGET)):
+            assert _span_error(H, K, horizon) in (None, own), (H.name, name)
