@@ -393,40 +393,33 @@ def _mix64_inplace(x: np.ndarray) -> None:
 class TournamentOracle:
     """A tournament on the naturals, given by a pure orientation oracle.
 
-    Subclasses implement `_orient_lt(i, j)` for i < j only; `orient`
-    normalizes argument order and rejects loops.
+    Subclasses implement `_forward(i, j)` for i < j only: True when the
+    pair is FORWARD, the edge i -> j.  `has_edge` is the one scalar query:
+    it normalizes argument order and rejects loops.
     """
 
     name = "tournament"
 
-    def _orient_lt(self, i: int, j: int) -> Direction:
+    def _forward(self, i: int, j: int) -> bool:
         raise NotImplementedError
-
-    def orient(self, i: int, j: int) -> Direction:
-        if i == j:
-            raise LoopQueryError(f"pair ({i}, {i}) has no orientation")
-        if i < 0 or j < 0:
-            raise ValueError("vertices are non-negative")
-        if i < j:
-            return self._orient_lt(i, j)
-        return self._orient_lt(j, i).reversed()
 
     def has_edge(self, a: int, b: int) -> bool:
         """True when the edge a -> b is present."""
-        if a < b:
-            return self.orient(a, b) is Direction.FORWARD
-        return self.orient(b, a) is Direction.BACKWARD
+        if a == b:
+            raise LoopQueryError(f"pair ({a}, {a}) has no orientation")
+        if a < 0 or b < 0:
+            raise ValueError("vertices are non-negative")
+        return self._forward(a, b) if a < b else not self._forward(b, a)
+
+    def orient(self, i: int, j: int) -> Direction:
+        return Direction.FORWARD if self.has_edge(i, j) else Direction.BACKWARD
 
     def forward_row(self, j: int) -> np.ndarray:
         """Boolean array over i < j: True where (i, j) is FORWARD.
 
         Generic loop; families with arithmetic structure override it.
         """
-        return np.fromiter(
-            (self._orient_lt(i, j) is Direction.FORWARD for i in range(j)),
-            dtype=bool,
-            count=j,
-        )
+        return np.fromiter((self._forward(i, j) for i in range(j)), dtype=bool, count=j)
 
     def forward_tile(self, j0: int, j1: int) -> np.ndarray:
         """Boolean block over the rows j0 <= j < j1: row r is
@@ -457,8 +450,8 @@ class TransitiveOmega(TournamentOracle):
 
     name = "transitive-omega"
 
-    def _orient_lt(self, i, j):
-        return Direction.FORWARD
+    def _forward(self, i, j):
+        return True
 
     def forward_row(self, j):
         return np.ones(j, dtype=bool)
@@ -480,8 +473,8 @@ class SplitTransitive(TournamentOracle):
 
     name = "split-transitive"
 
-    def _orient_lt(self, i, j):
-        return Direction.FORWARD if i % 2 == 0 else Direction.BACKWARD
+    def _forward(self, i, j):
+        return i % 2 == 0
 
     def forward_row(self, j):
         return np.arange(j) % 2 == 0
@@ -498,9 +491,9 @@ class ExponentialThreshold(TournamentOracle):
 
     name = "exp-threshold"
 
-    def _orient_lt(self, i, j):
+    def _forward(self, i, j):
         # j + 1 <= 2**(i + 1) without building 2**(i + 1)
-        return Direction.FORWARD if j.bit_length() <= i + 1 else Direction.BACKWARD
+        return j.bit_length() <= i + 1
 
     def forward_row(self, j):
         row = np.ones(j, dtype=bool)
@@ -541,9 +534,8 @@ class SeededRandom(TournamentOracle):
         self._h0 = _mix64((self.seed & _MASK64) ^ _PHI64)
         self._by_smaller = np.zeros(0, dtype=np.uint64)
 
-    def _orient_lt(self, i, j):
-        h = _keyed_round(_keyed_round(self._h0, i, _MIX_A), j, _MIX_B)
-        return Direction.FORWARD if h & 1 else Direction.BACKWARD
+    def _forward(self, i, j):
+        return bool(_keyed_round(_keyed_round(self._h0, i, _MIX_A), j, _MIX_B) & 1)
 
     def _smaller_rounds(self, n: int) -> np.ndarray:
         if self._by_smaller.shape[0] < n:
@@ -584,8 +576,8 @@ class OrdinalInjectionTournament(TournamentOracle):
         self._layout = injection.layout if isinstance(injection, _LayoutInjection) else None
         self._value = injection.eval if self._layout is None else self._layout.value
 
-    def _orient_lt(self, i, j):
-        return Direction.FORWARD if self._value(i) > self._value(j) else Direction.BACKWARD
+    def _forward(self, i, j):
+        return self._value(i) > self._value(j)
 
     def forward_pairs_upto(self, n):
         return None if self._layout is None else self._layout.inversions([n])[0]
@@ -629,8 +621,8 @@ class TabulatedTournament(TournamentOracle):
 
     def __init__(self, n: int, forward: Iterable[tuple[int, int]], name: str = ""):
         self.n = n
-        self._forward = frozenset(forward)
-        for (i, j) in self._forward:
+        self._pairs = frozenset(forward)
+        for (i, j) in self._pairs:
             if not (0 <= i < j < n):
                 raise ValueError(f"pair ({i}, {j}) out of range")
         self.name = name or f"tabulated-{n}"
@@ -648,15 +640,21 @@ class TabulatedTournament(TournamentOracle):
                 idx += 1
         return cls(n, fwd, name=f"tabulated-{n}-{bits:x}")
 
-    def _orient_lt(self, i, j):
+    def _forward(self, i, j):
         if j >= self.n:
             raise ValueError(f"vertex {j} outside tabulated range {self.n}")
-        return Direction.FORWARD if (i, j) in self._forward else Direction.BACKWARD
+        return (i, j) in self._pairs
 
 
-def tournament_from_name(
-    name: str, injection_loader: Optional[Callable[[str], InjectionSpec]] = None
-) -> TournamentOracle:
+def _seed(name: str) -> int:
+    """The seed of a name 'family:seed'."""
+    try:
+        return int(name.split(":", 1)[1])
+    except ValueError as e:
+        raise GraphFormatError(f"bad seed in {name!r}") from e
+
+
+def tournament_from_name(name: str) -> TournamentOracle:
     """Resolve a family name such as 'transitive-omega' or 'random:42'."""
     if name == "transitive-omega":
         return TransitiveOmega()
@@ -669,15 +667,9 @@ def tournament_from_name(
     if name == "exp-threshold":
         return ExponentialThreshold()
     if name.startswith("random:"):
-        try:
-            seed = int(name.split(":", 1)[1])
-        except ValueError as e:
-            raise GraphFormatError(f"bad seed in {name!r}") from e
-        return SeededRandom(seed)
+        return SeededRandom(_seed(name))
     if name.startswith("injection:"):
-        path = name.split(":", 1)[1]
-        loader = injection_loader or read_injection_file
-        return OrdinalInjectionTournament(loader(path))
+        return OrdinalInjectionTournament(read_injection_file(name.split(":", 1)[1]))
     raise GraphFormatError(f"unknown tournament family {name!r}")
 
 
@@ -981,11 +973,7 @@ def presented_from_name(name: str) -> PresentedGraph:
     if name in _GRAPH_FAMILIES:
         return _GRAPH_FAMILIES[name]()
     if name.startswith("random-graph:"):
-        try:
-            seed = int(name.split(":", 1)[1])
-        except ValueError as e:
-            raise GraphFormatError(f"bad seed in {name!r}") from e
-        return random_presented(seed)
+        return random_presented(_seed(name))
     raise GraphFormatError(f"unknown graph family {name!r}")
 
 
@@ -1055,7 +1043,7 @@ def read_injection_file(path: str) -> InjectionSpec:
             if i in given:
                 raise GraphFormatError(f"{path}:{ln}: index {i} given twice")
             if a < 0 or b < 0:
-                raise ValueError("ordinal components must be non-negative")
+                raise GraphFormatError(f"{path}:{ln}: ordinal components must be non-negative")
             given.add(i)
             table += (i - 1, a, b)
     if tail_name not in _TAIL_RUNS:

@@ -388,28 +388,32 @@ def factorial_scheme() -> BlockScheme:
     return _scheme("factorial", {}, "factorial-block reversal", _factorial_runs())
 
 
-def make_block_scheme(
-    pattern: str,
-    *,
-    r: float = 2.0,
-    q: float = 0.9,
-    L0: int = 64,
-    W0: int = _DEFAULT_W0,
-) -> BlockScheme:
-    """Build a catalogue scheme.
+def make_block_scheme(pattern: str, **params) -> BlockScheme:
+    """Build a catalogue scheme from the parameters its pattern takes.
 
-    r is the growth ratio of the committed interval widths (only ratios
-    comfortably above 1 are accepted: blocks must outgrow their past);
-    L0 is the first width; q places the dip inside each nested-dip cycle.
-    identity and factorial take no parameters.
+    single-high and paired-high-low take r, the growth ratio of the
+    committed interval widths (only ratios comfortably above 1 are
+    accepted: blocks must outgrow their past), and L0, the first width;
+    nested-dip takes these, q, which places the dip inside each cycle, and
+    W0, the first step.  identity and factorial take none.  A parameter
+    the pattern does not take is a SchemeError.
     """
     if pattern not in BLOCK_PATTERNS:
         known = ", ".join(BLOCK_PATTERNS)
         raise SchemeError(f"unknown pattern {pattern!r}; catalogue: {known}")
+    # the parameters the pattern takes, at their defaults
+    takes = {} if pattern in ("identity", "factorial") else {"r": 2.0, "L0": 64}
+    if pattern == "nested-dip":
+        takes.update(q=0.9, W0=_DEFAULT_W0)
+    for key in params:
+        if key not in takes:
+            raise SchemeError(f"pattern {pattern!r} takes no parameter {key!r}")
     if pattern == "identity":
         return _scheme("identity", {}, "identity", _identity_runs())
     if pattern == "factorial":
         return factorial_scheme()
+    takes.update(params)
+    r, L0 = takes["r"], takes["L0"]
     if not (r > _MIN_RATIO):
         raise SchemeError(
             f"growth ratio r={r:g} is below the minimum block growth {_MIN_RATIO}"
@@ -421,6 +425,7 @@ def make_block_scheme(
         params = {"r": float(r), "L0": int(L0)}
         runs = lay(_geometric_sizes(params["r"], L0))
         return _scheme(pattern, params, f"{pattern}(r={r:g},L0={L0})", runs)
+    q, W0 = takes["q"], takes["W0"]
     if not (0.0 < q < 1.0):
         raise SchemeError("dip position q must lie strictly between 0 and 1")
     if W0 < 1:

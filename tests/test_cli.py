@@ -360,6 +360,25 @@ def test_inversions_bad_scheme(capsys):
     assert err.startswith("#ERROR scheme:")
 
 
+@pytest.mark.parametrize(
+    "arg, key",
+    [
+        ("single-high:q=0.1", "q"),
+        ("paired-high-low:W0=7", "W0"),
+        ("factorial:L0=5,r=9", "L0"),
+        ("identity:q=0.5", "q"),
+    ],
+)
+def test_inversions_rejects_a_parameter_the_pattern_does_not_take(capsys, arg, key):
+    # a parameter is refused, not ignored: the run would print the bare
+    # pattern's profile under a name that claims another scheme
+    code, out, err = run_cli(
+        capsys, "inversions", "--injection", arg, "--nmax", "300", "--stride", "100"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("#ERROR scheme:") and repr(key) in err
+
+
 def test_density_nmax_too_small(capsys):
     code, _, err = run_cli(capsys, "density", "--tournament", "transitive-omega", "--nmax", "1")
     assert code == 2

@@ -22,6 +22,7 @@ from tourlab.core import (
     SeededRandom,
     SplitTransitive,
     TabulatedTournament,
+    TournamentOracle,
     TransitiveOmega,
     TransitiveOmegaStar,
     _DiagonalLayout,
@@ -103,8 +104,18 @@ def test_transitive_families():
 
 
 def test_loop_query_rejected():
-    with pytest.raises(LoopQueryError):
-        TransitiveOmega().orient(3, 3)
+    K = TransitiveOmega()
+    for ask in (K.orient, K.has_edge):
+        with pytest.raises(LoopQueryError):
+            ask(3, 3)
+        with pytest.raises(ValueError, match="vertices are non-negative"):
+            ask(-1, 3)
+
+
+def test_base_oracle_states_no_rule():
+    # a host that states no `_forward` fails loudly, whichever way it is asked
+    with pytest.raises(NotImplementedError):
+        TournamentOracle().has_edge(0, 1)
 
 
 @given(st.integers(0, 200), st.integers(0, 200))
@@ -115,6 +126,10 @@ def test_orient_pure_and_antisymmetric(i, j):
         d = K.orient(i, j)
         assert K.orient(i, j) is d
         assert K.orient(j, i) is d.reversed()
+        assert K.has_edge(i, j) != K.has_edge(j, i)
+        for a, b in ((i, j), (j, i)):
+            want = Direction.FORWARD if K.has_edge(a, b) else Direction.BACKWARD
+            assert K.orient(a, b) is want
 
 
 @pytest.mark.parametrize("K", [TransitiveOmegaStar(), FactorialBlock()], ids=lambda K: K.name)
@@ -637,14 +652,14 @@ def test_read_injection_file_rejects_contradictions(tmp_path, text, line):
 @pytest.mark.parametrize(
     "text, error",
     [
-        ("5 -1 1\n5 2 2\n", "ordinal components must be non-negative"),
+        ("5 -1 1\n5 2 2\n", ":1: ordinal components must be non-negative"),
         ("5 1 1\n5 -2 2\n", ":2: index 5 given twice"),
         ("5 1 1\n5 2 2\n7 x y\n", ":2: index 5 given twice"),
-        ("1 0 -3\n2 x y\n", "ordinal components must be non-negative"),
+        ("1 0 -3\n2 x y\n", ":1: ordinal components must be non-negative"),
         ("2 x y\n1 0 -3\n", ":1: bad integers"),
         ("1 2\n", ":1: expected 'i major minor'"),
         ("0 1 1\n", ":1: index must be >= 1"),
-        ("tail bogus\n1 -1 1\n", "ordinal components must be non-negative"),
+        ("tail bogus\n1 -1 1\n", ":2: ordinal components must be non-negative"),
     ],
     ids=["negative-first", "twice-first", "twice-before-bad", "negative-before-bad",
          "bad-before-negative", "two-fields", "index-zero", "negative-before-tail"],
@@ -653,7 +668,7 @@ def test_read_injection_file_reports_the_first_bad_line(tmp_path, text, error):
     # each line is checked in turn: the first fault in file order is raised
     p = tmp_path / "bad.inj"
     p.write_text(text)
-    with pytest.raises((GraphFormatError, ValueError)) as got:
+    with pytest.raises(GraphFormatError) as got:
         read_injection_file(str(p))
     assert str(got.value).endswith(error)
 

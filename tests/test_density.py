@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tourlab.core import (
-    Direction,
     ExponentialThreshold,
     FactorialBlock,
     InjectionSpec,
@@ -88,12 +87,8 @@ class OpaqueInjectionTournament(TournamentOracle):
         self.name = "opaque"
         self._values = []  # f(0), f(1), ...; rows evaluate each index once
 
-    def _orient_lt(self, i, j):
-        return (
-            Direction.FORWARD
-            if self._f.eval(i) > self._f.eval(j)
-            else Direction.BACKWARD
-        )
+    def _forward(self, i, j):
+        return self._f.eval(i) > self._f.eval(j)
 
     def forward_row(self, j):
         while len(self._values) <= j:
@@ -687,6 +682,10 @@ def test_scheme_parameter_validation():
         make_block_scheme("nested-dip", q=1.0)
     with pytest.raises(SchemeError):
         make_block_scheme("nested-dip", W0=0)
+    # a parameter the pattern does not take is refused, not ignored
+    for pattern, key in (("single-high", "q"), ("identity", "q"), ("nested-dip", "zz")):
+        with pytest.raises(SchemeError, match=f"^pattern {pattern!r} takes no parameter"):
+            make_block_scheme(pattern, **{key: 1})
 
 
 def test_describe_is_stable():

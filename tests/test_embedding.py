@@ -270,9 +270,9 @@ def test_transitive_extraction_dominating(seed):
 @given(st.integers(min_value=0, max_value=10_000), st.integers(2, 6))
 def test_transitive_extraction_asks_one_query_per_candidate(seed, size):
     class Counted(SeededRandom):
-        def orient(self, i, j):
-            asked.append(frozenset((i, j)))
-            return super().orient(i, j)
+        def has_edge(self, a, b):
+            asked.append(frozenset((a, b)))
+            return super().has_edge(a, b)
 
     asked = []
     pool = list(range(1 << size))
