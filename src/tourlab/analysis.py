@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .core import DEFAULT_BUDGET, FiniteOrientedGraph, PresentedGraph
+from .core import DEFAULT_BUDGET, FiniteOrientedGraph, PresentedGraph, _search, _sign_step
 from .errors import BudgetExhaustedError
 
 Graph = Union[FiniteOrientedGraph, PresentedGraph]
@@ -118,30 +118,19 @@ def gamma(
     BudgetExhaustedError carrying the partial member set, which is the
     standard evidence of a possibly infinite directed path through v.
     """
-    if direction not in ("+", "-"):
-        raise ValueError("direction must be '+' or '-'")
-    step = (
-        (lambda x: G.out_neighbors(x))
-        if direction == "+"
-        else (lambda x: G.in_neighbors(x))
-    )
-    members = {v}
-    frontier = [v]
-    spent = 0
-    while frontier:
-        x = frontier.pop()
-        if spent >= budget:
-            raise BudgetExhaustedError(
-                f"gamma{direction}({v}) exceeded budget {budget}",
-                partial=frozenset(members),
-                budget=budget,
-            )
-        spent += 1
-        for w in step(x):
-            if w not in members:
-                members.add(w)
-                frontier.append(w)
+    members, spent = _closure(G, (v,), direction, budget, v)
     return ClosureResult(v, direction, frozenset(members), spent)
+
+
+def _closure(G: Graph, sources, sign: str, budget: int, name) -> tuple[set[int], int]:
+    """The members reachable from the sources along `sign` edges, and the
+    expansions spent; past the budget, BudgetExhaustedError names
+    gamma<sign>(<name>) and carries the partial member set."""
+    members, spent, done = _search(_sign_step(G, sign), sources, budget, set())
+    if not done:
+        raise BudgetExhaustedError(f"gamma{sign}({name}) exceeded budget {budget}",
+                                   partial=frozenset(members), budget=budget)
+    return members, spent
 
 
 class _ClosureWalk:
@@ -253,10 +242,7 @@ def classify_unavoidability(
             "avoidable", witness=("infinite-path-certificate", G.name)
         )
 
-    walks = {
-        "+": _ClosureWalk(G.out_neighbors, budget),
-        "-": _ClosureWalk(G.in_neighbors, budget),
-    }
+    walks = {sign: _ClosureWalk(_sign_step(G, sign), budget) for sign in "+-"}
     partial: frozenset[int] = frozenset()
     failure: Optional[str] = None
     for v in range(budget):

@@ -90,13 +90,7 @@ def _parse_scheme_arg(text: str):
             key, eq, value = item.partition("=")
             if not eq:
                 raise SchemeError(f"bad scheme parameter {item!r}; expected key=value")
-            key = key.strip()
-            if key in ("L0", "W0"):
-                kwargs[key] = int(value)
-            elif key in ("r", "q"):
-                kwargs[key] = float(value)
-            else:
-                raise SchemeError(f"unknown scheme parameter {key!r}")
+            kwargs[key.strip()] = value
     return make_block_scheme(name, **kwargs)
 
 

@@ -571,16 +571,12 @@ class OrdinalInjectionTournament(TournamentOracle):
         self.injection = injection
         self.name = f"injection:{injection.description or 'anonymous'}"
         # a layout is injective by construction, so its integer values are
-        # compared without building an ordinal or checking injectivity, and
-        # its runs count a prefix's inversions in closed form
-        self._layout = injection.layout if isinstance(injection, _LayoutInjection) else None
-        self._value = injection.eval if self._layout is None else self._layout.value
+        # compared without building an ordinal or checking injectivity
+        layout = isinstance(injection, _LayoutInjection)
+        self._value = injection.layout.value if layout else injection.eval
 
     def _forward(self, i, j):
         return self._value(i) > self._value(j)
-
-    def forward_pairs_upto(self, n):
-        return None if self._layout is None else self._layout.inversions([n])[0]
 
 
 class FactorialBlock(OrdinalInjectionTournament):
@@ -680,6 +676,31 @@ def tournament_from_name(name: str) -> TournamentOracle:
 DEFAULT_BUDGET = 10_000
 
 
+def _search(step, sources, budget: int, reached: set[int]) -> tuple[set[int], int, bool]:
+    """Depth-first search from the sources along `step`, expanding at most
+    `budget` vertices.  Returns `reached`, grown in place and never copied,
+    the expansions spent, and whether the search finished."""
+    frontier = list(sources)
+    reached.update(frontier)
+    spent = 0
+    while frontier:
+        if spent >= budget:
+            return reached, spent, False
+        spent += 1
+        for w in step(frontier.pop()):
+            if w not in reached:
+                reached.add(w)
+                frontier.append(w)
+    return reached, spent, True
+
+
+def _sign_step(G, sign: str) -> Callable[[int], Sequence[int]]:
+    """The neighbors of a sign: '+' follows out-edges, '-' in-edges."""
+    if sign not in ("+", "-"):
+        raise ValueError("direction must be '+' or '-'")
+    return G.out_neighbors if sign == "+" else G.in_neighbors
+
+
 def _weak_roots(G, vertices: Iterable[int], budget: int) -> Iterator[int]:
     """The least vertex of each weak component of G, in increasing order.
 
@@ -687,21 +708,13 @@ def _weak_roots(G, vertices: Iterable[int], budget: int) -> Iterator[int]:
     out-edges; a component needing more than `budget` expansions ends the
     stream, since no later vertex is then known to lie outside it."""
     seen: set[int] = set()  # reached, and not yet passed by the walk
+    weak = lambda x: itertools.chain(G.in_neighbors(x), G.out_neighbors(x))
     for v in vertices:
         if v in seen:
             seen.remove(v)  # the components left to search lie above v
             continue
         yield v
-        seen.add(v)
-        stack, spent = [v], 0
-        while stack and spent < budget:
-            spent += 1
-            x = stack.pop()
-            for w in itertools.chain(G.in_neighbors(x), G.out_neighbors(x)):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if stack:
+        if not _search(weak, (v,), budget, seen)[2]:
             return
         seen.remove(v)
 
@@ -986,6 +999,8 @@ def read_graph_file(path: str) -> FiniteOrientedGraph:
         raise GraphFormatError(f"{path}: missing 'n m' header")
     try:
         n, m = int(tokens[0]), int(tokens[1])
+        if min(n, m) < 0:
+            raise ValueError("negative count")
     except ValueError as e:
         raise GraphFormatError(f"{path}: bad header") from e
     body = tokens[2:]

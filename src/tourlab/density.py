@@ -395,8 +395,9 @@ def make_block_scheme(pattern: str, **params) -> BlockScheme:
     committed interval widths (only ratios comfortably above 1 are
     accepted: blocks must outgrow their past), and L0, the first width;
     nested-dip takes these, q, which places the dip inside each cycle, and
-    W0, the first step.  identity and factorial take none.  A parameter
-    the pattern does not take is a SchemeError.
+    W0, the first step.  identity and factorial take none.  A value given
+    as text takes the type of its default.  A parameter the pattern does
+    not take, or text that does not convert, is a SchemeError.
     """
     if pattern not in BLOCK_PATTERNS:
         known = ", ".join(BLOCK_PATTERNS)
@@ -405,19 +406,26 @@ def make_block_scheme(pattern: str, **params) -> BlockScheme:
     takes = {} if pattern in ("identity", "factorial") else {"r": 2.0, "L0": 64}
     if pattern == "nested-dip":
         takes.update(q=0.9, W0=_DEFAULT_W0)
-    for key in params:
+    for key, value in params.items():
         if key not in takes:
             raise SchemeError(f"pattern {pattern!r} takes no parameter {key!r}")
+        kind = type(takes[key])
+        try:
+            takes[key] = kind(value) if isinstance(value, str) else value
+        except ValueError:
+            msg = f"pattern {pattern!r}: {key}={value!r} does not parse as {kind.__name__}"
+            raise SchemeError(msg) from None
     if pattern == "identity":
         return _scheme("identity", {}, "identity", _identity_runs())
     if pattern == "factorial":
         return factorial_scheme()
-    takes.update(params)
     r, L0 = takes["r"], takes["L0"]
     if not (r > _MIN_RATIO):
         raise SchemeError(
             f"growth ratio r={r:g} is below the minimum block growth {_MIN_RATIO}"
         )
+    if not math.isfinite(r):
+        raise SchemeError(f"growth ratio r={r:g} is not finite")
     if not isinstance(L0, int) or L0 < 2:
         raise SchemeError("initial width L0 must be an integer of at least 2")
     if pattern != "nested-dip":

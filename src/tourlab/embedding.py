@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Container, Iterator, Optional, Sequence, Union
 
-from .analysis import DEFAULT_BUDGET, _find_cycle, _least_first_peel, gamma, is_acyclic
+from .analysis import DEFAULT_BUDGET, _closure, _find_cycle, _least_first_peel, gamma, is_acyclic
 from .core import (
     FiniteOrientedGraph,
     OrdinalInjectionTournament,
@@ -22,6 +22,7 @@ from .core import (
     TransitiveOmega,
     TransitiveOmegaStar,
     _LayoutInjection,
+    _sign_step,
 )
 from .errors import (
     CycleFoundError,
@@ -125,10 +126,11 @@ class PMPartition:
     in all of G) and even cells are the '-' dual.  Cells are 1-indexed:
     cells[k] is C_{k+1}.
 
-    `cell(i)` grows the cells out to C_i through closures in G, each
-    within `budget` expansions.  Once a cell comes out empty the component
-    is exhausted: G is dropped and every later cell is empty.  A partition
-    given without G keeps the cells it was given.
+    `cell(i)` grows the cells out to C_i, each by one closure search in G
+    from the whole cell before it, within `budget` expansions per member of
+    that cell.  Once a cell comes out empty the component is exhausted: G
+    is dropped and every later cell is empty.  A partition given without G
+    keeps the cells it was given.
     """
 
     cells: list[frozenset[int]]
@@ -143,13 +145,12 @@ class PMPartition:
         """C_i, growing the cells as needed; empty once exhausted."""
         while len(self.cells) < i and self.G is not None:
             # a cell collects the closures against its own type
-            direction = "-" if self.cell_type(len(self.cells) + 1) == "+" else "+"
-            members: set[int] = set()
-            for w in self.cells[-1]:
-                members |= gamma(self.G, w, direction, budget=self.budget).members
-            members -= self.cells[-1]
-            if len(self.cells) >= 2:
-                members -= self.cells[-2]
+            sign = "-" if self.cell_type(len(self.cells) + 1) == "+" else "+"
+            last = self.cells[-1]
+            name = next(iter(last)) if len(last) == 1 else f"C_{len(self.cells)}"
+            members = _closure(self.G, last, sign, self.budget * len(last), name)[0]
+            for c in self.cells[-2:]:
+                members -= c
             if members:
                 self.cells.append(frozenset(members))
             else:
@@ -221,12 +222,10 @@ def check_pm_partition(G: Graph, p: PMPartition) -> list[str]:
                         problems.append(
                             f"A3: {v} in '-'-cell {i} sends an edge to cell {j}"
                         )
-        if t == "+":
-            if not any(len(G.in_neighbors(v)) == 0 for v in cell):
-                problems.append(f"A4: no vertex of cell {i} has in-degree 0")
-        else:
-            if not any(len(G.out_neighbors(v)) == 0 for v in cell):
-                problems.append(f"A4: no vertex of cell {i} has out-degree 0")
+        against = _sign_step(G, "-" if t == "+" else "+")
+        if all(against(v) for v in cell):
+            side = "in" if t == "+" else "out"
+            problems.append(f"A4: no vertex of cell {i} has {side}-degree 0")
     return problems
 
 
@@ -513,7 +512,7 @@ def _extremal_in_component(G: Graph, root: int, side: str, budget: int) -> int:
     is acyclic: walk the closure against the edges until stuck.
     """
     members = gamma(G, root, side, budget=budget).members
-    degree = G.in_neighbors if side == "-" else G.out_neighbors
+    degree = _sign_step(G, side)
     picks = [v for v in members if not degree(v)]
     if not picks:
         raise SchemeError(
@@ -575,12 +574,8 @@ def spanning_embed(
         pin_cell = m.cells.cell(pin_cell_index)
         if not pin_cell:
             return False
-        want_in_zero = star == "+"
-        pins = [
-            v
-            for v in pin_cell
-            if not (G.in_neighbors(v) if want_in_zero else G.out_neighbors(v))
-        ]
+        against = _sign_step(G, "-" if star == "+" else "+")
+        pins = [v for v in pin_cell if not against(v)]
         if not pins:
             raise SchemeError(
                 f"cell {pin_cell_index} has no vertex with only "

@@ -137,6 +137,17 @@ def test_embed_finite_file_uses_file_labels(capsys, tmp_path):
     assert "covered=4 valid=true" in out
 
 
+def test_embed_one_member_cell_failure_keeps_the_closure_text(capsys):
+    # C_1 = {0} of the forward path has an infinite forward closure, so
+    # the search that grows C_2 from it fails with gamma's own text
+    code, out, err = run_cli(
+        capsys, "embed", "--graph", "forward-path",
+        "--tournament", "transitive-omega", "--horizon", "5",
+    )
+    assert (code, out) == (2, "")
+    assert err == "#ERROR budget-exhausted: gamma+(0) exceeded budget 10000\n"
+
+
 def test_embed_always_infinite_oracle(capsys):
     # random:3 has no exact oracle, so the scanning one serves it
     K = tournament_from_name("random:3")
@@ -377,6 +388,24 @@ def test_inversions_rejects_a_parameter_the_pattern_does_not_take(capsys, arg, k
     )
     assert (code, out) == (2, "")
     assert err.startswith("#ERROR scheme:") and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "arg, key",
+    [
+        ("single-high:r=abc", "r"),
+        ("single-high:L0=2.5", "L0"),
+        ("nested-dip:W0=x", "W0"),
+        ("single-high:r=inf", "r"),
+        ("nested-dip:r=inf", "r"),
+    ],
+)
+def test_inversions_rejects_a_parameter_value_that_does_not_parse(capsys, arg, key):
+    # text that does not convert to the parameter's type, or an infinite
+    # ratio, is a scheme error naming the parameter
+    code, out, err = run_cli(capsys, "inversions", "--injection", arg, "--nmax", "10")
+    assert (code, out) == (2, "")
+    assert err.startswith("#ERROR scheme:") and f"{key}=" in err
 
 
 def test_density_nmax_too_small(capsys):

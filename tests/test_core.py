@@ -98,7 +98,7 @@ def test_transitive_families():
     assert TransitiveOmega().orient(2, 5) is Direction.FORWARD
     assert TransitiveOmegaStar().orient(2, 5) is Direction.BACKWARD
     # the downward chain is the identity layout's tournament: no inversions
-    assert TransitiveOmegaStar().forward_pairs_upto(10**9) == 0
+    assert density.forward_pair_count(TransitiveOmegaStar(), 10**9) == 0
     # antisymmetric normalization
     assert TransitiveOmega().orient(5, 2) is Direction.BACKWARD
 
@@ -150,8 +150,9 @@ def test_layout_orientation_keeps_no_values(K):
 
 
 def test_bulk_orientations_match_scalar_orient_on_every_host(tmp_path):
-    # forward_row, forward_tile and forward_pairs_upto each restate a
-    # host's orientation rule; all three are held to scalar orient
+    # forward_row, forward_tile and the pair count each restate a host's
+    # orientation rule; all three are held to scalar orient.  The count
+    # takes the layout walk, the kernel, a closed form or the tiles.
     p = tmp_path / "over.inj"
     p.write_text("tail factorial\n1 1 0\n3 2 5\n")
     n = 200
@@ -171,8 +172,8 @@ def test_bulk_orientations_match_scalar_orient_on_every_host(tmp_path):
         for j0, j1 in [(0, n), (1, 2), (37, 120), (150, 151), (n - 1, n)]:
             assert np.array_equal(K.forward_tile(j0, j1), want[j0:j1, : j1 - 1]), K.name
         inside = np.concatenate([[0], np.cumsum(want.sum(axis=1))])  # pairs in [m]
-        if K.forward_pairs_upto(2) is not None:
-            assert [K.forward_pairs_upto(m) for m in range(n + 1)] == inside.tolist(), K.name
+        counts = [density.forward_pair_count(K, m) for m in range(2, n + 1)]
+        assert counts == inside[2:].tolist(), K.name
     # forward pairs (2t, j) stack the even indices: 0 > 2 > ... > 10 > 11
     assert density.rank_decompose(SplitTransitive(), 12).levels == 7
 
@@ -214,11 +215,11 @@ def test_factorial_block_orientations():
 
 def test_factorial_block_counts_match_rows():
     K = FactorialBlock()
-    assert K.forward_pairs_upto(6) == 6  # C(4,2) inside {2..5}
+    assert density.forward_pair_count(K, 6) == 6  # C(4,2) inside {2..5}
     total = 0
     for j in range(1, 200):
         total += int(K.forward_row(j).sum())
-        assert K.forward_pairs_upto(j + 1) == total
+        assert density.forward_pair_count(K, j + 1) == total
 
 
 def test_factorial_reversal_injection_matches_family():
@@ -613,6 +614,13 @@ def test_read_graph_file(tmp_path):
     with pytest.raises(GraphFormatError):
         read_graph_file(str(bad2))
 
+    # a negative vertex or edge count is a bad header, not an empty graph
+    for header in ("-1 0", "3 -1"):
+        neg = tmp_path / "neg.edges"
+        neg.write_text(header + "\n")
+        with pytest.raises(GraphFormatError, match="bad header$"):
+            read_graph_file(str(neg))
+
 
 def test_read_injection_file(tmp_path):
     p = tmp_path / "f.inj"
@@ -628,9 +636,10 @@ def test_read_injection_file(tmp_path):
     assert g.eval(2) == OrdinalValue(0, 5)
     # a tail-only file is the tail's run layout, described by its path
     assert _has_layout_oracle(g) and g.description == f"file:{q}"
-    assert OrdinalInjectionTournament(g).forward_pairs_upto(6) == 6
+    assert density.forward_pair_count(OrdinalInjectionTournament(g), 6) == 6
     assert not _has_layout_oracle(f)
-    assert OrdinalInjectionTournament(f).forward_pairs_upto(6) is None
+    # values 10, 11, 2, 3, 4, 5: each override is above the four tail values
+    assert density.forward_pair_count(OrdinalInjectionTournament(f), 6) == 8
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from tourlab.core import (
     TournamentOracle,
     TransitiveOmega,
     TransitiveOmegaStar,
+    _LayoutInjection,
     read_injection_file,
 )
 import tourlab.counting as counting
@@ -521,8 +522,9 @@ def test_rank_injection_matches_reference(K, n):
     got = inversion_density_profile(d.induced_injection, m, stride=2)
     assert got.counts == inversion_density_profile(ref, m, stride=2).counts
     # an empty override table hands back the identity layout's injection
-    closed = OrdinalInjectionTournament(d.induced_injection).forward_pairs_upto(m)
-    assert (closed is not None) == (d.levels == 1)
+    assert isinstance(d.induced_injection, _LayoutInjection) == (d.levels == 1)
+    K_d = OrdinalInjectionTournament(d.induced_injection)
+    assert forward_pair_count(K_d, m) == got.counts[-1][1]
 
 
 def test_dominance_rejects_foreign_prefix():
@@ -682,6 +684,14 @@ def test_scheme_parameter_validation():
         make_block_scheme("nested-dip", q=1.0)
     with pytest.raises(SchemeError):
         make_block_scheme("nested-dip", W0=0)
+    for ratio in (math.inf, math.nan):
+        with pytest.raises(SchemeError):
+            make_block_scheme("single-high", r=ratio)
+    # text takes the type of the parameter's default, or is refused
+    assert make_block_scheme("nested-dip", r="2", q="0.9", L0="64").describe() == (
+        make_block_scheme("nested-dip", r=2.0, q=0.9, L0=64).describe())
+    with pytest.raises(SchemeError, match=r"^pattern 'single-high': L0='2\.5' does not parse as int$"):
+        make_block_scheme("single-high", L0="2.5")
     # a parameter the pattern does not take is refused, not ignored
     for pattern, key in (("single-high", "q"), ("identity", "q"), ("nested-dip", "zz")):
         with pytest.raises(SchemeError, match=f"^pattern {pattern!r} takes no parameter"):
@@ -872,7 +882,7 @@ def test_layout_profile_walk_matches_per_point_counts():
                  make_block_scheme("paired-high-low", r=1.3, L0=3).injection),
               list(range(2, 5000, 7)))]
     for K, pts in cases:
-        assert density._forward_counts(K, pts) == [K.forward_pairs_upto(m) for m in pts]
+        assert density._forward_counts(K, pts) == [forward_pair_count(K, m) for m in pts]
 
 
 def test_scheme_injection_tournament_counts_in_closed_form(monkeypatch):

@@ -19,16 +19,20 @@ from tourlab.core import (
     identity_injection,
     interleaved_forest,
     out_stars,
+    presented_from_name,
     random_presented,
     read_injection_file,
     tournament_from_name,
 )
-from tourlab.analysis import DEFAULT_BUDGET, classify_unavoidability
+import tourlab.analysis as analysis
+import tourlab.embedding as embedding
+from tourlab.analysis import DEFAULT_BUDGET, classify_unavoidability, gamma
 from tourlab.density import make_block_scheme
 from tourlab.embedding import (
     AlwaysInfiniteOracle,
     EmbeddingMap,
     FiniteBelowOracle,
+    PMPartition,
     SplitTransitiveOracle,
     TransitiveUpOracle,
     check_pm_partition,
@@ -40,6 +44,7 @@ from tourlab.embedding import (
     spanning_embed,
 )
 from tourlab.errors import (
+    BudgetExhaustedError,
     CycleFoundError,
     OracleInconsistencyError,
     PinIncompatibilityError,
@@ -208,6 +213,83 @@ def test_partition_axioms_on_presented_families():
             start = next(v for v in range(50) if not G.in_neighbors(v))
         p = pm_partition(G, start, "pm", max_cells=10)
         assert check_pm_partition(G, p) == [], G.name
+
+
+def _cell_reference(G, prev, before, sign, limit):
+    """The union of the per-member closures of prev, less prev and the
+    cell before it; None when that union passes `limit` vertices."""
+    union: set[int] = set()
+    for w in prev:
+        try:
+            union |= gamma(G, w, sign, budget=limit).members
+        except BudgetExhaustedError:
+            return None
+        if len(union) > limit:
+            return None
+    return union - prev - before
+
+
+CELL_GRAPHS = ["anti-path", "out-stars", "interleaved-forest",
+               *(f"random-graph:{seed}" for seed in range(8))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CELL_GRAPHS), st.sampled_from(["pm", "mp"]), st.integers(0, 20),
+       st.one_of(st.integers(1, 16), st.integers(1, DEFAULT_BUDGET)), st.integers(2, 10))
+def test_cells_are_unions_of_per_member_closures(name, flavor, k, budget, n_cells):
+    # each cell is one search from the whole cell before it, within budget
+    # expansions per member of that cell; it must equal the union of the
+    # members' own closures, and fail exactly when that union passes the
+    # cell's budget
+    G = presented_from_name(name)
+    blocked = G.in_neighbors if flavor == "pm" else G.out_neighbors
+    start = [v for v in range(1000) if not blocked(v)][k]  # the k-th extremal vertex
+    p = PMPartition([frozenset({start})], flavor, G, budget)
+    for i in range(2, n_cells + 1):
+        prev = p.cells[-1]
+        before = p.cells[-2] if len(p.cells) >= 2 else frozenset()
+        sign = "-" if p.cell_type(i) == "+" else "+"
+        want = _cell_reference(G, prev, before, sign, budget * len(prev))
+        try:
+            got = p.cell(i)
+        except BudgetExhaustedError:
+            assert want is None, (name, i)
+            return
+        assert got == want, (name, i)
+        if not got:
+            return
+
+
+def test_cell_budget_counts_every_member_of_the_cell():
+    # Γ-(1) = {0, 1, 3, 4} passes a budget of 3, but the one search from
+    # C_2 = {1, 2} reaches 5 <= 3 * 2 vertices, so C_3 grows
+    G = FiniteOrientedGraph(5, [(0, 1), (0, 2), (3, 1), (4, 1)])
+    with pytest.raises(BudgetExhaustedError):
+        gamma(G, 1, "-", budget=3)
+    p = pm_partition(G, 0, "pm", budget=3)
+    assert p.cells == [frozenset({0}), frozenset({1, 2}), frozenset({3, 4})]
+    assert check_pm_partition(G, p) == []
+    # two more in-neighbors of 1 take the search from C_2 to 7 > 6 vertices;
+    # the failure names the cell it grew from
+    G = FiniteOrientedGraph(7, [(0, 1), (0, 2), (3, 1), (4, 1), (5, 1), (6, 1)])
+    with pytest.raises(BudgetExhaustedError, match=r"^gamma-\(C_2\) exceeded budget 6$"):
+        pm_partition(G, 0, "pm", budget=3)
+
+
+def test_spanning_cells_make_no_gamma_calls(monkeypatch):
+    # gamma serves only each machine's extremal-vertex pick; every cell
+    # grows by one search from the whole cell before it
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return gamma(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "gamma", counted)
+    monkeypatch.setattr(embedding, "gamma", counted)
+    res = spanning_embed(anti_path(), SplitTransitive(), horizon=3600)
+    assert all(res.phi.has_target(k) for k in range(3600))
+    assert len(calls) <= len(res.machines)
 
 
 def test_checker_catches_swapped_cells():
