@@ -1,10 +1,10 @@
 """Command-line front end: analyze, embed, density, inversions, optimize.
 
-Output is deterministic for deterministic inputs: identical invocations
-produce byte-identical output.  Every command ends its report with one
-machine-readable line prefixed '#RESULT '; failures print a single
-'#ERROR <code>: <message>' line to stderr and exit with status 2.  Exit
-status 1 is reserved for verdict-level disagreement under --expect.
+Identical invocations produce byte-identical output.  Every command ends
+its report with one machine-readable line prefixed '#RESULT '; failures
+print a single '#ERROR <code>: <message>' line to stderr and exit with
+status 2.  Exit status 1 is reserved for verdict-level disagreement under
+--expect.  A reader that closes stdout early ends the run silently: exit 0.
 """
 
 from __future__ import annotations
@@ -218,12 +218,14 @@ def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the exit status."""
     try:
         return _RUNNERS[args.subcommand](args)
+    except BrokenPipeError:
+        # what stdout still buffers goes nowhere, so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except tuple(cls for cls, _ in _ERROR_CODES) as e:
-        for cls, code in _ERROR_CODES:
-            if isinstance(e, cls):
-                print(f"#ERROR {code}: {e}", file=sys.stderr)
-                return 2
-        raise  # unreachable: the except clause matched one of the classes
+        code = next(code for cls, code in _ERROR_CODES if isinstance(e, cls))
+        print(f"#ERROR {code}: {e}", file=sys.stderr)
+        return 2
 
 
 def _window_pair(text: str) -> tuple[int, int]:

@@ -271,16 +271,16 @@ def embed_finite_acyclic(
     G: Graph,
     vertices: Sequence[int],
     K: TournamentOracle,
-    pool: Sequence[int],
+    chain: Sequence[int],
     phi: EmbeddingMap,
 ) -> None:
     """Extend phi over a finite acyclic vertex set of any graph G.
 
-    The vertices phi already maps are the pins; every other one lands
-    inside the pool, laid out along a transitive chain found there in
-    least-first topological order, which settles all edges among them.
+    The vertices phi already maps are the pins; the others land on the
+    dominating `chain` in least-first topological order, which settles
+    all edges among them; a chain too short raises PoolTooSmallError.
     Only edges among `vertices` are judged: one that ends up mapping
-    against K (necessarily involving a pin or the pool's relation to it)
+    against K (necessarily involving a pin or the chain's relation to it)
     raises with that edge attached.
     """
     outs = {v: G.out_neighbors(v) for v in vertices}
@@ -289,11 +289,12 @@ def embed_finite_acyclic(
         raise CycleFoundError("finite embedding needs an acyclic graph", cycle)
 
     waiting = {v: 0 for v in outs if v not in phi}
+    if len(chain) < len(waiting):
+        raise PoolTooSmallError(f"chain of {len(chain)} for {len(waiting)} vertices")
     for v in waiting:
         for w in outs[v]:
             if w in waiting:
                 waiting[w] += 1
-    chain = find_transitive_subtournament(K, pool, len(waiting))
     for v, k in zip(_least_first_peel(waiting, outs.__getitem__), chain):
         phi.assign(v, k)
 
@@ -328,6 +329,8 @@ class InfinitenessOracle:
     which it only tests for membership (a caller may pass a live set).
     Enumeration is only meaningful for intersections decided infinite;
     otherwise it may return fewer members than asked, including none.
+    `chain` hands out such members in dominating order, every earlier one
+    beating every later one: by default the stream's own order.
     """
 
     pool_class: str
@@ -346,6 +349,12 @@ class InfinitenessOracle:
             return []
         free = (w for w in self._members(constraints, start) if w not in exclusions)
         return list(itertools.islice(free, count))
+
+    def chain(
+        self, constraints: Sequence[Constraint], exclusions: Container[int],
+        count: int, start: int = 0,
+    ) -> list[int]:
+        return self.enumerate_in_class(constraints, exclusions, count, start)
 
     def _members(self, constraints: Sequence[Constraint], start: int) -> Iterator[int]:
         """The intersection's pool-class members from `start` on, ascending."""
@@ -369,11 +378,13 @@ class AlwaysInfiniteOracle(InfinitenessOracle):
     Almost surely correct for the seeded random family, where every finite
     sign pattern recurs forever; the scan cap of SCAN_LIMIT candidates
     from `start` converts a companion that fails to deliver into an
-    explicit inconsistency error instead of a hang.
+    explicit inconsistency error instead of a hang.  A chain is the Ramsey
+    step: 2^(count-1) pool members hold one of `count` <= MAX_CHUNK.
     """
 
     pool_class = "+"
     SCAN_LIMIT = 2_000_000
+    MAX_CHUNK = 16
 
     def __init__(self, K: TournamentOracle):
         self.K = K
@@ -401,6 +412,15 @@ class AlwaysInfiniteOracle(InfinitenessOracle):
             )
         return out
 
+    def chain(self, constraints, exclusions, count, start=0):
+        if count > self.MAX_CHUNK:
+            raise PoolTooSmallError(
+                f"chunk of {count} free vertices exceeds the supported "
+                f"size {self.MAX_CHUNK}"
+            )
+        pool = self.enumerate_in_class(constraints, exclusions, (1 << count) // 2, start)
+        return find_transitive_subtournament(self.K, pool, count)
+
 
 class FiniteBelowOracle(InfinitenessOracle):
     """Oracle for a tournament induced by a run layout's injection.  Every
@@ -408,7 +428,7 @@ class FiniteBelowOracle(InfinitenessOracle):
     (toward smaller values) are finite, backward ones cofinite, and every
     sign is '-'.  The members of an intersection are the indices whose
     value exceeds every anchor's, which the layout walks one range per
-    run."""
+    run; a chain sorts them by value, largest first: larger beats smaller."""
 
     pool_class = "-"
 
@@ -425,6 +445,10 @@ class FiniteBelowOracle(InfinitenessOracle):
             if run.above == 0:  # every earlier index lies below the whole run
                 start = max(start, run.start)
         return self.layout.indices_above(bound, start)
+
+    def chain(self, constraints, exclusions, count, start=0):
+        members = super().chain(constraints, exclusions, count, start)
+        return sorted(members, key=self.layout.value, reverse=True)
 
 
 class SplitTransitiveOracle(InfinitenessOracle):
@@ -458,9 +482,6 @@ def infiniteness_oracle_for(K: TournamentOracle) -> InfinitenessOracle:
 
 
 # ------------------------------------------------------------ spanning embed
-
-
-MAX_CHUNK = 16
 
 
 @dataclass
@@ -588,30 +609,17 @@ def spanning_embed(
                 "an intersection the conformity invariant guarantees "
                 "infinite was decided finite"
             )
-        new_diamond = oracle.pool_class
 
         i_j = f + 5
-        while m.cells.cell_type(i_j) != new_diamond:
+        while m.cells.cell_type(i_j) != oracle.pool_class:
             i_j += 1
 
-        chunk: list[int] = []
-        for c in range(f + 1, i_j + 1):
-            chunk.extend(m.cells.cell(c))
-        chunk = sorted(set(chunk))
-        free = len(chunk) - 1
-        if free > MAX_CHUNK:
-            raise PoolTooSmallError(
-                f"chunk of {free} free vertices exceeds the supported "
-                f"size {MAX_CHUNK}"
-            )
+        chunk = sorted(set().union(*map(m.cells.cell, range(f + 1, i_j + 1))))
 
         # every vertex below k_vertex is covered and k_vertex is the pin
-        need = 1 << (free - 1) if free >= 1 else 0
-        pool = oracle.enumerate_in_class(
-            constraints, phi._image, need, start=k_vertex + 1
-        )
+        chain = oracle.chain(constraints, phi._image, len(chunk) - 1, start=k_vertex + 1)
         phi.assign(v_j, k_vertex)
-        embed_finite_acyclic(G, chunk, K, pool, phi)
+        embed_finite_acyclic(G, chunk, K, chain, phi)
         steps.append(SpanStep(k_vertex, m.id, f, i_j, v_j, tuple(chunk)))
         m.frontier = i_j
         return True

@@ -2,8 +2,11 @@
 
 import hashlib
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -225,10 +228,11 @@ def test_embed_output_frozen(capsys, graph, tournament, digest):
 
 
 # sha256 of stdout: anti-path's anchors climb one factorial block per step,
-# and a file holding only `tail factorial` is the factorial layout
+# each chunk laid along its first members in value order, and a file
+# holding only `tail factorial` is the factorial layout
 FROZEN_LAYOUT_EMBEDS = [
     (["--graph", "anti-path", "--tournament", "factorial-block", "--horizon", "500"],
-     "f2ff2b411a215688948b7be00336f21c19fed10a0115f307a47a988ff610f78e"),
+     "b0f1e176e5b75df47bd76de339b1af171342464c223c6bc361fdeb03d3f599d8"),
     (["--graph", "interleaved-forest", "--tournament", "injection:{tail}", "--horizon", "2000"],
      "264db4503bc09cebc640ca4e6e8ab46c4f74559631b4e0c9cc6bf2f0b0de78d1"),
 ]
@@ -412,6 +416,32 @@ def test_density_nmax_too_small(capsys):
     code, _, err = run_cli(capsys, "density", "--tournament", "transitive-omega", "--nmax", "1")
     assert code == 2
     assert err.startswith("#ERROR invalid-argument:")
+
+
+def test_reader_closing_stdout_early_ends_quietly():
+    # the reader takes the header and closes the pipe while the CSV is
+    # still being written: exit status 0, and nothing on stderr, not even
+    # from the flush at interpreter exit
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tourlab.cli", "density",
+         "--tournament", "factorial-block", "--nmax", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"n,forward_pairs,total_pairs,density\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_other_os_errors_stay_io_errors(capsys, tmp_path):
+    # a directory given as the injection file cannot be read
+    code, out, err = run_cli(capsys, "inversions", "--injection", str(tmp_path), "--nmax", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("#ERROR io: ")
 
 
 # ---------------------------------------------------------------------------

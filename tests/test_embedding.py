@@ -380,7 +380,8 @@ def test_embed_finite_acyclic_plain():
     G = diamond()
     K = SeededRandom(2)
     phi = EmbeddingMap(K)
-    embed_finite_acyclic(G, G.vertices, K, list(range(8)), phi)
+    chain = find_transitive_subtournament(SeededRandom(2), list(range(8)), 4)
+    embed_finite_acyclic(G, G.vertices, K, chain, phi)
     assert len(phi) == 4 and phi.is_valid(G)
     assert all(k < 8 for k in phi.mapping.values())
 
@@ -717,18 +718,23 @@ def test_scan_cursor_equals_excluding_the_prefix(
 def test_pool_members_satisfy_every_decided_constraint(
     host, anchors, exclusions, start, count
 ):
-    # the host's own edges are the reference: every member of a pool lies
-    # in the signed neighborhood of each anchor
+    # the host's own edges are the reference: every member of a pool or a
+    # chain lies in the signed neighborhood of each anchor, and a chain is
+    # dominating: every earlier member beats every later one
     K, oracle = host
     constraints = [(v, oracle.sign_class(v)) for v, _ in anchors]
     assert oracle.decide(constraints)
     pool = oracle.enumerate_in_class(constraints, exclusions, count, start=start)
     assert len(pool) == count and pool == sorted(set(pool))
-    for w in pool:
+    chain = oracle.chain(constraints, exclusions, count, start=start)
+    assert len(chain) == count == len(set(chain))
+    for w in pool + chain:
         assert w >= start and w not in exclusions
         assert oracle.sign_class(w) == oracle.pool_class
         for v, s in constraints:
             assert K.has_edge(v, w) if s == "+" else K.has_edge(w, v), (K.name, v, s, w)
+    for i, w in enumerate(chain):
+        assert all(K.has_edge(w, x) for x in chain[i + 1:]), (K.name, chain)
 
 
 def _counting(oracle_cls):
@@ -945,18 +951,24 @@ DICHOTOMY_HOSTS = [
 
 @pytest.mark.parametrize("seed", range(8))
 def test_unavoidable_random_graphs_never_run_out_of_components(seed):
-    # every random graph is unavoidable, so the engine may fail only on its
-    # chunk size limit, never for want of a component to start
+    # every random graph is unavoidable, so the engine never runs out of
+    # components; the four exact hosts hand out a chain for any chunk, so
+    # only the random host, whose chain needs a 2^(n-1) pool, may stop at
+    # its chunk size limit
     G = random_presented(seed)
     assert classify_unavoidability(G).verdict == "unavoidable"
     for name in DICHOTOMY_HOSTS:
-        G = random_presented(seed)
-        try:
-            res = spanning_embed(G, tournament_from_name(name), horizon=10)
-        except PoolTooSmallError:
-            continue
-        assert all(res.phi.has_target(k) for k in range(10)), name
-        assert res.phi.is_valid(G), name
+        exact = name != "random:2"
+        for horizon in (10, 300, 1000) if exact else (10,):
+            G = random_presented(seed)
+            try:
+                res = spanning_embed(G, tournament_from_name(name), horizon=horizon)
+            except PoolTooSmallError:
+                if exact:
+                    raise
+                continue
+            assert all(res.phi.has_target(k) for k in range(horizon)), (name, horizon)
+            assert res.phi.is_valid(G), (name, horizon)
 
 
 def _span_error(G, K, horizon):
