@@ -424,7 +424,9 @@ def test_reader_closing_stdout_early_ends_quietly():
     # from the flush at interpreter exit
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
     proc = subprocess.Popen(
         [sys.executable, "-m", "tourlab.cli", "density",
          "--tournament", "factorial-block", "--nmax", "20000"],

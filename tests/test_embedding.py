@@ -380,7 +380,7 @@ def test_embed_finite_acyclic_plain():
     G = diamond()
     K = SeededRandom(2)
     phi = EmbeddingMap(K)
-    chain = find_transitive_subtournament(SeededRandom(2), list(range(8)), 4)
+    chain = find_transitive_subtournament(K, list(range(8)), 4)
     embed_finite_acyclic(G, G.vertices, K, chain, phi)
     assert len(phi) == 4 and phi.is_valid(G)
     assert all(k < 8 for k in phi.mapping.values())
@@ -393,6 +393,17 @@ def test_embed_finite_acyclic_with_pin():
     phi.assign(0, 3)
     embed_finite_acyclic(G, G.vertices, K, [10, 11], phi)
     assert phi.mapping == {0: 3, 1: 10, 2: 11} and phi.is_valid(G)
+
+
+def test_embed_finite_acyclic_needs_a_chain_member_per_unpinned_vertex():
+    G = path3()
+    K = TransitiveOmega()
+    phi = EmbeddingMap(K)
+    phi.assign(0, 3)
+    with pytest.raises(PoolTooSmallError) as e:
+        embed_finite_acyclic(G, G.vertices, K, [10], phi)
+    assert str(e.value) == "chain of 1 for 2 vertices"
+    assert phi.mapping == {0: 3}
 
 
 def test_embed_finite_acyclic_pin_conflict():
