@@ -90,7 +90,10 @@ def _parse_scheme_arg(text: str):
             key, eq, value = item.partition("=")
             if not eq:
                 raise SchemeError(f"bad scheme parameter {item!r}; expected key=value")
-            kwargs[key.strip()] = value
+            key = key.strip()
+            if key in kwargs:
+                raise SchemeError(f"scheme parameter {key!r} given twice")
+            kwargs[key] = value
     return make_block_scheme(name, **kwargs)
 
 

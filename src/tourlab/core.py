@@ -390,6 +390,11 @@ def _mix64_inplace(x: np.ndarray) -> None:
 # tournament oracles
 
 
+def _pair_mask(j0: int, j1: int) -> np.ndarray:
+    """The tile over the rows j0 <= j < j1, width j1 - 1: True where i < j."""
+    return np.arange(max(j1 - 1, 0)) < np.arange(j0, j1)[:, None]
+
+
 class TournamentOracle:
     """A tournament on the naturals, given by a pure orientation oracle.
 
@@ -415,29 +420,30 @@ class TournamentOracle:
         return Direction.FORWARD if self.has_edge(i, j) else Direction.BACKWARD
 
     def forward_row(self, j: int) -> np.ndarray:
-        """Boolean array over i < j: True where (i, j) is FORWARD.
+        """Boolean array over i < j: True where (i, j) is FORWARD; row j of
+        `forward_tile`.
 
-        Generic loop; families with arithmetic structure override it.
+        >>> FactorialBlock().forward_row(8).astype(int).tolist()
+        [0, 0, 0, 0, 0, 0, 1, 1]
         """
-        return np.fromiter((self._forward(i, j) for i in range(j)), dtype=bool, count=j)
+        return self.forward_tile(j, j + 1)[0]
 
     def forward_tile(self, j0: int, j1: int) -> np.ndarray:
-        """Boolean block over the rows j0 <= j < j1: row r is
-        `forward_row(j0 + r)`, padded with False to width j1 - 1.
+        """Boolean block over the rows j0 <= j < j1, width j1 - 1: entry
+        (r, i) is True where i < j0 + r and (i, j0 + r) is FORWARD.
 
-        Stacks `forward_row`; families that can produce many rows at once
-        override it.
+        The one bulk rule a host may state; this default loops `_forward`.
         """
         tile = np.zeros((j1 - j0, max(j1 - 1, 0)), dtype=bool)
         for r, j in enumerate(range(j0, j1)):
-            tile[r, :j] = self.forward_row(j)
+            tile[r, :j] = np.fromiter((self._forward(i, j) for i in range(j)), dtype=bool, count=j)
         return tile
 
     def forward_pairs_upto(self, n: int) -> Optional[int]:
         """Closed-form count of forward pairs inside the first n vertices.
 
         Returns None when no closed form is available; callers then count
-        pair by pair.
+        tile by tile.
         """
         return None
 
@@ -453,8 +459,8 @@ class TransitiveOmega(TournamentOracle):
     def _forward(self, i, j):
         return True
 
-    def forward_row(self, j):
-        return np.ones(j, dtype=bool)
+    def forward_tile(self, j0, j1):
+        return _pair_mask(j0, j1)
 
     def forward_pairs_upto(self, n):
         return n * (n - 1) // 2
@@ -476,8 +482,8 @@ class SplitTransitive(TournamentOracle):
     def _forward(self, i, j):
         return i % 2 == 0
 
-    def forward_row(self, j):
-        return np.arange(j) % 2 == 0
+    def forward_tile(self, j0, j1):
+        return _pair_mask(j0, j1) & (np.arange(max(j1 - 1, 0)) % 2 == 0)
 
     def forward_pairs_upto(self, n):
         # the even index 2t is forward to the n - 1 - 2t indices above it;
@@ -495,13 +501,10 @@ class ExponentialThreshold(TournamentOracle):
         # j + 1 <= 2**(i + 1) without building 2**(i + 1)
         return j.bit_length() <= i + 1
 
-    def forward_row(self, j):
-        row = np.ones(j, dtype=bool)
-        # backward exactly for i with 2**(i+1) <= j; there are bit_length(j)-1 such i
-        k = j.bit_length() - 1 if j >= 1 else 0
-        if k > 0:
-            row[:k] = False
-        return row
+    def forward_tile(self, j0, j1):
+        # backward exactly for i with 2**(i+1) <= j: the bit_length(j) - 1 lowest
+        k = np.array([j.bit_length() - 1 for j in range(j0, j1)], dtype=np.int64)
+        return _pair_mask(j0, j1) & (np.arange(max(j1 - 1, 0)) >= k[:, None])
 
     def forward_pairs_upto(self, n):
         total = n * (n - 1) // 2
@@ -559,9 +562,6 @@ class SeededRandom(TournamentOracle):
             tile[:, j0:] &= np.tri(j1 - j0, w - j0, -1, dtype=bool)
         return tile
 
-    def forward_row(self, j):
-        return self.forward_tile(j, j + 1)[0]
-
 
 class OrdinalInjectionTournament(TournamentOracle):
     """Tournament induced by an ordinal injection: for i < j the pair is
@@ -578,6 +578,12 @@ class OrdinalInjectionTournament(TournamentOracle):
     def _forward(self, i, j):
         return self._value(i) > self._value(j)
 
+    def forward_tile(self, j0, j1):
+        # ranks of f(0), ..., f(j1 - 1), by the sort that names a clash as eval would
+        ranks = np.empty(j1, dtype=np.int64)
+        ranks[_value_order(self.injection.value_arrays(j1))] = np.arange(j1)
+        return _pair_mask(j0, j1) & (ranks[: j1 - 1] > ranks[j0:j1, None])
+
 
 class FactorialBlock(OrdinalInjectionTournament):
     """Blocks of factorial width, [0,1), [1,2), [2,6), [6,24), ...; forward
@@ -589,13 +595,6 @@ class FactorialBlock(OrdinalInjectionTournament):
         super().__init__(_LayoutInjection(_factorial_runs(), "factorial-block reversal"))
         self.name = "factorial-block"
 
-    def forward_row(self, j):
-        # forward from the start of the block (run) that holds j
-        layout = self.injection.layout
-        row = np.zeros(j, dtype=bool)
-        row[layout.runs[layout.cover(j + 1)].start :] = True
-        return row
-
 
 class TransitiveOmegaStar(OrdinalInjectionTournament):
     """The transitive tournament on the naturals, edges pointing down: the
@@ -604,9 +603,6 @@ class TransitiveOmegaStar(OrdinalInjectionTournament):
     def __init__(self):
         super().__init__(identity_injection())
         self.name = "transitive-omega-star"
-
-    def forward_row(self, j):
-        return np.zeros(j, dtype=bool)
 
 
 class TabulatedTournament(TournamentOracle):

@@ -83,15 +83,20 @@ def inversion_prefix(f: InjectionSpec, n: int) -> np.ndarray:
     return np.cumsum(prior_greater_counts(ranks_of_values(f.value_arrays(n)))[1:])
 
 
-def inversions_upto(f: InjectionSpec, n: int) -> int:
-    """Number of pairs i < j < n with f(i) > f(j): read off the runs when f
-    is a run layout's injection, counted by the kernel otherwise, where a
-    clash inside the prefix raises MalformedInjectionError."""
-    if n < 2:
-        return 0
+def _prefix_inversions(f: InjectionSpec, points: list[int]) -> list[int]:
+    """Inversions of f inside each prefix in `points` (ascending, each at
+    least 2): one walk over the runs when f is a run layout's injection,
+    the kernel's cumulative counts otherwise."""
     if isinstance(f, _LayoutInjection):
-        return f.layout.inversions([n])[0]
-    return int(inversion_prefix(f, n)[-1])
+        return f.layout.inversions(points)
+    cum = inversion_prefix(f, points[-1])
+    return [int(cum[m - 2]) for m in points]
+
+
+def inversions_upto(f: InjectionSpec, n: int) -> int:
+    """Number of pairs i < j < n with f(i) > f(j); a clash inside the
+    prefix raises MalformedInjectionError."""
+    return _prefix_inversions(f, [n])[0] if n >= 2 else 0
 
 
 def inversions_brute(f: InjectionSpec, n: int) -> int:

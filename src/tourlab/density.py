@@ -2,12 +2,10 @@
 
 A tournament induced by an ordinal injection has its forward pairs
 exactly at the injection's inversions, so prefix densities of injection
-tournaments reduce to inversion counting.  One dispatch decides how every
-prefix count is made: for an injection tournament, a walk over its run
-layout when it has one and the counting kernel otherwise (the choice
-`counting.inversions_upto` makes for one prefix); a family's closed form;
-a sum of forward rows otherwise, taken in tiles of a fixed number of
-pairs.  Rank decomposition and its dominance check walk the same tiles.
+tournaments reduce to inversion counting, routed by the counting module.
+Every other prefix count is a family's closed form, or a sum of forward
+rows taken in tiles of a fixed number of pairs.  Rank decomposition and
+its dominance check walk the same tiles.
 Rank decomposition runs the reduction the other way: it extracts an
 injection from a finite prefix whose induced tournament dominates the
 prefix pairwise.
@@ -49,7 +47,7 @@ from .core import (
     _stacked_runs,
     _with_overrides,
 )
-from .counting import inversion_prefix, ranks_of_values
+from .counting import _prefix_inversions, ranks_of_values
 from .errors import SchemeError
 
 __all__ = [
@@ -126,17 +124,12 @@ def _forward_counts(K: TournamentOracle, points: list[int]) -> list[int]:
     """Forward pairs of K inside each prefix in `points` (ascending, each
     at least 2).
 
-    The one place that decides how to count: for an injection tournament,
-    one walk over the runs when its injection is a layout's and the
-    inversion kernel otherwise, as `inversions_upto` decides for one
-    prefix; the family's closed form; forward rows summed tile by tile up
-    to the last point otherwise.
+    An injection tournament counts its injection's inversions, as the
+    counting module routes them; otherwise the family's closed form, or
+    forward rows summed tile by tile up to the last point.
     """
     if isinstance(K, OrdinalInjectionTournament):
-        if isinstance(K.injection, _LayoutInjection):
-            return K.injection.layout.inversions(points)
-        cum = inversion_prefix(K.injection, points[-1])
-        return [int(cum[m - 2]) for m in points]
+        return _prefix_inversions(K.injection, points)
     if K.forward_pairs_upto(2) is not None:
         return [int(K.forward_pairs_upto(m)) for m in points]
     counts, total, k = [], 0, 0

@@ -412,6 +412,19 @@ def test_inversions_rejects_a_parameter_value_that_does_not_parse(capsys, arg, k
     assert err.startswith("#ERROR scheme:") and f"{key}=" in err
 
 
+@pytest.mark.parametrize(
+    "arg, key", [("single-high:r=2,r=3", "r"), ("single-high:L0=8,L0=64", "L0")]
+)
+def test_inversions_rejects_a_repeated_parameter(capsys, arg, key):
+    # the last value does not silently win, as an index given twice in an
+    # injection file does not
+    code, out, err = run_cli(
+        capsys, "inversions", "--injection", arg, "--nmax", "300", "--stride", "100"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("#ERROR scheme:") and repr(key) in err
+
+
 def test_density_nmax_too_small(capsys):
     code, _, err = run_cli(capsys, "density", "--tournament", "transitive-omega", "--nmax", "1")
     assert code == 2

@@ -152,16 +152,25 @@ def test_layout_orientation_keeps_no_values(K):
 def test_bulk_orientations_match_scalar_orient_on_every_host(tmp_path):
     # forward_row, forward_tile and the pair count each restate a host's
     # orientation rule; all three are held to scalar orient.  The count
-    # takes the layout walk, the kernel, a closed form or the tiles.
+    # takes the layout walk, the kernel, a closed form or the tiles.  The
+    # injection hosts tile from value arrays: int64, objects past int64
+    # (nested-dip), a table over a layout, and a plain callable.
     p = tmp_path / "over.inj"
     p.write_text("tail factorial\n1 1 0\n3 2 5\n")
     n = 200
     coin = random.Random(5)
+    dip = density.make_block_scheme("nested-dip", r=12.5, q=0.97).injection
+    assert dip.value_arrays(n).dtype == object
     hosts = [
         TransitiveOmega(), TransitiveOmegaStar(), FactorialBlock(), SplitTransitive(),
         ExponentialThreshold(), SeededRandom(3),
         OrdinalInjectionTournament(read_injection_file(str(p))),
         TabulatedTournament(n, [(i, j) for j in range(n) for i in range(j) if coin.random() < 0.5]),
+        OrdinalInjectionTournament(dip),
+        OrdinalInjectionTournament(density.rank_decompose(SeededRandom(3), n).induced_injection),
+        OrdinalInjectionTournament(
+            InjectionSpec(lambda i: OrdinalValue(i % 3, i * 7919 % 1000), "callable")
+        ),
     ]
     for K in hosts:
         want = np.zeros((n, n - 1), dtype=bool)  # want[j, i]: (i, j) is forward

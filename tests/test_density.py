@@ -86,16 +86,19 @@ class OpaqueInjectionTournament(TournamentOracle):
     def __init__(self, f):
         self._f = f
         self.name = "opaque"
-        self._values = []  # f(0), f(1), ...; rows evaluate each index once
+        self._values = []  # f(0), f(1), ...; tiles evaluate each index once
 
     def _forward(self, i, j):
         return self._f.eval(i) > self._f.eval(j)
 
-    def forward_row(self, j):
-        while len(self._values) <= j:
+    def forward_tile(self, j0, j1):
+        while len(self._values) < j1:
             self._values.append(self._f.eval(len(self._values)))
-        vj = self._values[j]
-        return np.fromiter((v > vj for v in self._values[:j]), dtype=bool, count=j)
+        tile = np.zeros((j1 - j0, max(j1 - 1, 0)), dtype=bool)
+        for r, j in enumerate(range(j0, j1)):
+            vj = self._values[j]
+            tile[r, :j] = np.fromiter((v > vj for v in self._values[:j]), dtype=bool, count=j)
+        return tile
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +464,17 @@ def test_override_arrays_match_reference(tmp_path_factory, case):
         want = [ref.eval(i) for i in range(n)]  # a fresh spec's walk
     except MalformedInjectionError as walk:
         # the sort names the same clash, through every bulk read
-        for bulk in (lambda: inversion_prefix(f, n), lambda: f.values(n)):
+        for bulk in (
+            lambda: inversion_prefix(f, n),
+            lambda: f.values(n),
+            lambda: OrdinalInjectionTournament(f).forward_tile(0, n),
+        ):
             with pytest.raises(MalformedInjectionError) as got:
                 bulk()
             assert str(got.value) == str(walk)
         return
+    tile = OrdinalInjectionTournament(f).forward_tile(0, n).tolist()
+    assert tile == [[i < j and want[i] > want[j] for i in range(n - 1)] for j in range(n)]
     arrays = f.value_arrays(n)
     assert arrays.tolist() == [[v.major for v in want], [v.minor for v in want]]
     # objects only where a component in the prefix exceeds int64
@@ -498,15 +507,21 @@ def test_override_clashes_match_the_walk(tmp_path, tail, table, n, clash):
     f = _write_overrides(tmp_path / "clash.inj", tail, table)
     ref = _override_reference(_TAILS[tail], {i: OrdinalValue(*v) for i, v in table.items()})
     if clash is None:
-        [ref.eval(i) for i in range(n)]
+        want = [ref.eval(i) for i in range(n)]
         assert inversion_prefix(f, n).size == n - 1
+        tile = OrdinalInjectionTournament(f).forward_tile(0, n).tolist()
+        assert tile == [[i < j and want[i] > want[j] for i in range(n - 1)] for j in range(n)]
         return
     with pytest.raises(MalformedInjectionError) as walk:
         [ref.eval(i) for i in range(n)]
-    with pytest.raises(MalformedInjectionError) as got:
-        inversion_prefix(f, n)
-    assert str(got.value) == str(walk.value)
-    assert str(got.value).startswith(clash + " share the value OrdinalValue(")
+    for bulk in (
+        lambda: inversion_prefix(f, n),
+        lambda: OrdinalInjectionTournament(f).forward_tile(0, n),
+    ):
+        with pytest.raises(MalformedInjectionError) as got:
+            bulk()
+        assert str(got.value) == str(walk.value)
+        assert str(got.value).startswith(clash + " share the value OrdinalValue(")
 
 
 @pytest.mark.parametrize(
@@ -525,6 +540,30 @@ def test_rank_injection_matches_reference(K, n):
     assert isinstance(d.induced_injection, _LayoutInjection) == (d.levels == 1)
     K_d = OrdinalInjectionTournament(d.induced_injection)
     assert forward_pair_count(K_d, m) == got.counts[-1][1]
+
+
+def test_injection_tiles_never_take_the_scalar_route(tmp_path, monkeypatch):
+    # a pair at a time these runs took seconds each; tiles rank value
+    # arrays, so neither the pair rule nor a checked eval is ever asked
+    p = tmp_path / "over.inj"
+    p.write_text("tail factorial\n1 1 0\n")
+    n = 2000
+    hosts = [
+        OrdinalInjectionTournament(read_injection_file(str(p))),
+        OrdinalInjectionTournament(make_block_scheme("nested-dip", r=12.5, q=0.97).injection),
+        OrdinalInjectionTournament(rank_decompose(SeededRandom(3), n).induced_injection),
+    ]
+    levels = [rank_decompose(K, n).alpha.tolist() for K in hosts]
+
+    def forbidden(*args):
+        raise AssertionError("a tile asked for one pair or one value")
+
+    monkeypatch.setattr(OrdinalInjectionTournament, "_forward", forbidden)
+    monkeypatch.setattr(InjectionSpec, "eval", forbidden)
+    for K, want in zip(hosts, levels):
+        d = rank_decompose(K, n)
+        assert d.alpha.tolist() == want, K.name
+        assert dominance_check(K, d, n), K.name
 
 
 def test_dominance_rejects_foreign_prefix():
