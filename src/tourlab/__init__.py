@@ -47,7 +47,6 @@ from .core import (
     random_presented,
     read_graph_file,
     read_injection_file,
-    tournament_from_name,
 )
 from .counting import (
     inversion_prefix,
@@ -70,6 +69,7 @@ from .density import (
     make_block_scheme,
     optimize_scheme,
     rank_decompose,
+    tournament_from_name,
     window_min_density,
 )
 from .embedding import (

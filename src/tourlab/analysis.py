@@ -231,6 +231,8 @@ def classify_unavoidability(
     vertex and direction.  When every closure fits and neither walk saw a
     cycle, the explored region is not read a second time.
     """
+    if budget < 1:
+        raise ValueError("budget must be positive")
     if G.is_finite:
         ok, cycle = is_acyclic(G)
         if ok:

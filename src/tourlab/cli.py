@@ -17,19 +17,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .analysis import DEFAULT_BUDGET, classify_unavoidability
-from .core import (
-    binomial2,
-    presented_from_name,
-    read_graph_file,
-    read_injection_file,
-    tournament_from_name,
-)
+from .core import OrdinalInjectionTournament, binomial2, presented_from_name, read_graph_file
 from .density import (
     BLOCK_PATTERNS,
     density_profile,
     inversion_density_profile,
-    make_block_scheme,
     optimize_scheme,
+    tournament_from_name,
     _fmt_param,
 )
 from .embedding import spanning_embed
@@ -79,29 +73,6 @@ def _load_graph(source: str):
     if os.path.exists(source):
         return read_graph_file(source)
     return presented_from_name(source)
-
-
-def _parse_scheme_arg(text: str):
-    """A scheme argument: 'factorial', or 'nested-dip:r=2,q=0.9,L0=64'."""
-    name, _, rest = text.partition(":")
-    kwargs = {}
-    if rest:
-        for item in rest.split(","):
-            key, eq, value = item.partition("=")
-            if not eq:
-                raise SchemeError(f"bad scheme parameter {item!r}; expected key=value")
-            key = key.strip()
-            if key in kwargs:
-                raise SchemeError(f"scheme parameter {key!r} given twice")
-            kwargs[key] = value
-    return make_block_scheme(name, **kwargs)
-
-
-def _resolve_injection(arg: str):
-    # a catalogue scheme stays a scheme, so its counts come from its runs
-    if os.path.exists(arg):
-        return read_injection_file(arg)
-    return _parse_scheme_arg(arg)
 
 
 def _print_profile(profile) -> None:
@@ -185,8 +156,10 @@ def _run_density(args: argparse.Namespace) -> int:
 
 
 def _run_inversions(args: argparse.Namespace) -> int:
-    f = _resolve_injection(args.injection)
-    _print_profile(inversion_density_profile(f, args.nmax, stride=args.stride))
+    K = tournament_from_name(args.injection)
+    if not isinstance(K, OrdinalInjectionTournament):
+        raise SchemeError(f"{args.injection!r} is not an injection host")
+    _print_profile(inversion_density_profile(K.injection, args.nmax, stride=args.stride))
     return 0
 
 
@@ -262,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="span a tournament prefix with a graph")
     p.add_argument("--graph", required=True, help="graph file or family name")
-    p.add_argument("--tournament", required=True, help="tournament family")
+    p.add_argument("--tournament", required=True, help="a host, as --injection names one")
     p.add_argument("--horizon", type=_positive, required=True)
     p.add_argument("--budget", type=_positive, default=None)
 
@@ -272,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=_positive, default=1)
 
     p = sub.add_parser("inversions", help="prefix inversion-density CSV")
-    p.add_argument("--injection", required=True, help="scheme name[:params] or file path")
+    p.add_argument(
+        "--injection", required=True, help="FILE, injection:FILE, family, random:S, pattern[:k=v,...]"
+    )
     p.add_argument("--nmax", type=_positive, required=True)
     p.add_argument("--stride", type=_positive, default=1)
 

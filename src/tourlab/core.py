@@ -638,33 +638,6 @@ class TabulatedTournament(TournamentOracle):
         return (i, j) in self._pairs
 
 
-def _seed(name: str) -> int:
-    """The seed of a name 'family:seed'."""
-    try:
-        return int(name.split(":", 1)[1])
-    except ValueError as e:
-        raise GraphFormatError(f"bad seed in {name!r}") from e
-
-
-def tournament_from_name(name: str) -> TournamentOracle:
-    """Resolve a family name such as 'transitive-omega' or 'random:42'."""
-    if name == "transitive-omega":
-        return TransitiveOmega()
-    if name == "transitive-omega-star":
-        return TransitiveOmegaStar()
-    if name == "factorial-block":
-        return FactorialBlock()
-    if name == "split-transitive":
-        return SplitTransitive()
-    if name == "exp-threshold":
-        return ExponentialThreshold()
-    if name.startswith("random:"):
-        return SeededRandom(_seed(name))
-    if name.startswith("injection:"):
-        return OrdinalInjectionTournament(read_injection_file(name.split(":", 1)[1]))
-    raise GraphFormatError(f"unknown tournament family {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -969,12 +942,28 @@ def random_presented(seed: int) -> PresentedGraph:
     return PresentedGraph(chain.adjacency, name=f"random-graph:{seed}")
 
 
+_HOST_FAMILIES = {
+    "transitive-omega": TransitiveOmega,
+    "transitive-omega-star": TransitiveOmegaStar,
+    "factorial-block": FactorialBlock,
+    "split-transitive": SplitTransitive,
+    "exp-threshold": ExponentialThreshold,
+}
+
 _GRAPH_FAMILIES = {
     "forward-path": forward_path,
     "anti-path": anti_path,
     "out-stars": out_stars,
     "interleaved-forest": interleaved_forest,
 }
+
+
+def _seed(name: str) -> int:
+    """The seed of a name 'family:seed'."""
+    try:
+        return int(name.split(":", 1)[1])
+    except ValueError as e:
+        raise GraphFormatError(f"bad seed in {name!r}") from e
 
 
 def presented_from_name(name: str) -> PresentedGraph:

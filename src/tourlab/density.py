@@ -29,6 +29,7 @@ them.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
@@ -38,17 +39,21 @@ import numpy as np
 from .core import (
     InjectionSpec,
     OrdinalInjectionTournament,
+    SeededRandom,
     TournamentOracle,
     exact_density,
+    read_injection_file,
     _factorial_runs,
+    _HOST_FAMILIES,
     _identity_runs,
     _LayoutInjection,
     _Run,
+    _seed,
     _stacked_runs,
     _with_overrides,
 )
 from .counting import _prefix_inversions, ranks_of_values
-from .errors import SchemeError
+from .errors import GraphFormatError, SchemeError
 
 __all__ = [
     "DensityProfile",
@@ -65,6 +70,7 @@ __all__ = [
     "window_min_density",
     "DensityBoundsReport",
     "optimize_scheme",
+    "tournament_from_name",
 ]
 
 
@@ -429,6 +435,8 @@ def make_block_scheme(pattern: str, **params) -> BlockScheme:
     q, W0 = takes["q"], takes["W0"]
     if not (0.0 < q < 1.0):
         raise SchemeError("dip position q must lie strictly between 0 and 1")
+    if not isinstance(W0, int):
+        raise SchemeError("initial step W0 must be an integer")
     if W0 < 1:
         raise SchemeError("initial step W0 must be positive")
     params = {"r": float(r), "q": float(q), "L0": int(L0)}
@@ -436,6 +444,32 @@ def make_block_scheme(pattern: str, **params) -> BlockScheme:
         params["W0"] = W0
     return _scheme("nested-dip", params, f"nested-dip(r={r:g},q={q:g},L0={L0})",
                    _nested_dip_runs(params["r"], params["q"], L0, W0))
+
+
+def tournament_from_name(text: str) -> TournamentOracle:
+    """Resolve a host, trying in turn: an injection file, as an existing path
+    or 'injection:PATH'; a named family; 'random:S'; a catalogue scheme
+    'pattern[:k=v,...]' such as 'nested-dip:r=2,q=0.9', inducing the host."""
+    if os.path.exists(text) or text.startswith("injection:"):
+        path = text if os.path.exists(text) else text.split(":", 1)[1]
+        return OrdinalInjectionTournament(read_injection_file(path))
+    if text in _HOST_FAMILIES:
+        return _HOST_FAMILIES[text]()
+    if text.startswith("random:"):
+        return SeededRandom(_seed(text))
+    pattern, _, rest = text.partition(":")
+    if pattern not in BLOCK_PATTERNS:
+        raise GraphFormatError(f"unknown tournament family {text!r}")
+    params = {}
+    for item in rest.split(",") if rest else ():
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise SchemeError(f"bad scheme parameter {item!r}; expected key=value")
+        key = key.strip()
+        if key in params:
+            raise SchemeError(f"scheme parameter {key!r} given twice")
+        params[key] = value
+    return OrdinalInjectionTournament(make_block_scheme(pattern, **params).injection)
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,22 @@ def test_classifier_budget_boundary(graph, members, slack):
     assert got.verdict == ("unavoidable" if slack == 0 else "inconclusive")
 
 
+def _disjoint_triangles(v):
+    base, r = v - v % 3, v % 3
+    return (base + (r - 1) % 3,), (base + (r + 1) % 3,)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_classifier_refuses_a_budget_below_one(budget):
+    # a budget of no vertex would check nothing and certify a graph made
+    # of directed triangles, which a budget of two finds avoidable
+    G = PresentedGraph(_disjoint_triangles, name="disjoint-triangles")
+    assert classify_unavoidability(G, budget=2) == Classification(
+        "avoidable", witness=("cycle", [1, 2, 0]))
+    with pytest.raises(ValueError, match="budget must be positive"):
+        classify_unavoidability(G, budget=budget)
+
+
 class _CountingGraph(PresentedGraph):
     """Counts in_neighbors and out_neighbors calls."""
 

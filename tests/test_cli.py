@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from tourlab.cli import main
-from tourlab.core import interleaved_forest, tournament_from_name
+from tourlab.core import interleaved_forest
+from tourlab.density import tournament_from_name
 from tourlab.embedding import AlwaysInfiniteOracle, infiniteness_oracle_for
 
 
@@ -372,7 +373,61 @@ def test_inversions_file_clash_is_reported_once_reached(capsys, tmp_path):
 def test_inversions_bad_scheme(capsys):
     code, _, err = run_cli(capsys, "inversions", "--injection", "bogus", "--nmax", "10")
     assert code == 2
-    assert err.startswith("#ERROR scheme:")
+    assert err.startswith("#ERROR graph-format:")
+
+
+# ---------------------------------------------------------------------------
+# one host grammar for --tournament and --injection
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["density", "--tournament", "factorial", "--nmax", "3000", "--stride", "7"],
+         ["density", "--tournament", "factorial-block", "--nmax", "3000", "--stride", "7"]),
+        (["embed", "--graph", "interleaved-forest", "--tournament", "identity",
+          "--horizon", "300"],
+         ["embed", "--graph", "interleaved-forest", "--tournament", "transitive-omega-star",
+          "--horizon", "300"]),
+        (["inversions", "--injection", "factorial-block", "--nmax", "3000", "--stride", "7"],
+         ["inversions", "--injection", "factorial", "--nmax", "3000", "--stride", "7"]),
+        (["inversions", "--injection", "injection:{file}", "--nmax", "40", "--stride", "3"],
+         ["inversions", "--injection", "{file}", "--nmax", "40", "--stride", "3"]),
+    ],
+    ids=["density-factorial", "embed-identity", "inversions-factorial-block",
+         "inversions-injection-prefix"],
+)
+def test_twin_hosts_print_the_same_bytes(capsys, tmp_path, first, second):
+    # a catalogue scheme and the named layout host it equals are one
+    # tournament, and a file is the same host with or without its prefix
+    f = tmp_path / "injection.txt"
+    f.write_text("tail factorial\n3 1 0\n1 1 7\n9 2 2\n")
+    runs = [run_cli(capsys, *(a.format(file=f) for a in argv)) for argv in (first, second)]
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert code == 0 and err == "" and "#RESULT " in out
+
+
+@pytest.mark.parametrize("host", ["random:2", "transitive-omega"])
+def test_inversions_refuses_a_host_no_injection_induces(capsys, host):
+    code, out, err = run_cli(capsys, "inversions", "--injection", host, "--nmax", "5")
+    assert (code, out) == (2, "")
+    assert err == f"#ERROR scheme: {host!r} is not an injection host\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embed", "--graph", "anti-path", "--tournament", "bogus", "--horizon", "5"],
+        ["density", "--tournament", "bogus", "--nmax", "5"],
+        ["inversions", "--injection", "bogus", "--nmax", "5"],
+    ],
+    ids=["embed", "density", "inversions"],
+)
+def test_unknown_host_is_one_error_under_every_subcommand(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "#ERROR graph-format: unknown tournament family 'bogus'\n"
 
 
 @pytest.mark.parametrize(

@@ -38,10 +38,10 @@ from tourlab.core import (
     random_presented,
     read_graph_file,
     read_injection_file,
-    tournament_from_name,
 )
 from tourlab.counting import inversions_upto
 import tourlab.density as density
+from tourlab.density import tournament_from_name
 from tourlab.embedding import FiniteBelowOracle, infiniteness_oracle_for
 from tourlab.errors import (
     GraphFormatError,

@@ -723,6 +723,8 @@ def test_scheme_parameter_validation():
         make_block_scheme("nested-dip", q=1.0)
     with pytest.raises(SchemeError):
         make_block_scheme("nested-dip", W0=0)
+    with pytest.raises(SchemeError):
+        make_block_scheme("nested-dip", W0=10**6 + 0.5)
     for ratio in (math.inf, math.nan):
         with pytest.raises(SchemeError):
             make_block_scheme("single-high", r=ratio)

@@ -22,12 +22,11 @@ from tourlab.core import (
     presented_from_name,
     random_presented,
     read_injection_file,
-    tournament_from_name,
 )
 import tourlab.analysis as analysis
 import tourlab.embedding as embedding
 from tourlab.analysis import DEFAULT_BUDGET, classify_unavoidability, gamma
-from tourlab.density import make_block_scheme
+from tourlab.density import BLOCK_PATTERNS, make_block_scheme, tournament_from_name
 from tourlab.embedding import (
     AlwaysInfiniteOracle,
     EmbeddingMap,
@@ -1004,3 +1003,17 @@ def test_reversed_and_closed_graphs_span_like_the_graph(G_factory):
         own = _span_error(G_factory(), K, horizon)
         for H in (_reverse(G_factory()), _closure(G_factory(), DEFAULT_BUDGET)):
             assert _span_error(H, K, horizon) in (None, own), (H.name, name)
+
+
+@pytest.mark.parametrize("host", [*BLOCK_PATTERNS, "nested-dip:r=12.5,q=0.97"])
+def test_catalogue_schemes_are_embedding_hosts(host):
+    # the host grammar names every catalogue scheme, and each scheme's
+    # tournament is an injection tournament on the naturals, so every
+    # unavoidable family spans a prefix of it
+    K = tournament_from_name(host)
+    assert isinstance(K, OrdinalInjectionTournament)
+    assert isinstance(infiniteness_oracle_for(K), FiniteBelowOracle)
+    for G_factory in (anti_path, out_stars, interleaved_forest):
+        res = spanning_embed(G_factory(), K, horizon=300)
+        assert all(res.phi.has_target(k) for k in range(300)), (host, G_factory.__name__)
+        assert res.phi.is_valid(G_factory()), (host, G_factory.__name__)
